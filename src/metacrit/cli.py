@@ -136,20 +136,30 @@ def _parse_pvalues(args) -> list:
     return values
 
 
-def _resolve_critical(spec: MethodSpec, n: int, n_f: int, q: float, args) -> CriticalValue:
-    """Resolution order: exact law, then table file, then fresh simulation."""
+def _resolve_criticals(spec: MethodSpec, n: int, n_f: int, qs: tuple, args) -> tuple:
+    """Critical values at the increasing levels ``qs``.  Resolution order:
+    exact law, then table file, then one simulation for every level left."""
     if has_exact_quantile(spec, n, n_f):
-        return CriticalValue(q=q, value=exact_quantile(spec, n, n_f, q), source="exact")
+        return tuple(CriticalValue(q=q, value=exact_quantile(spec, n, n_f, q), source="exact")
+                     for q in qs)
+    found = {}
     table_path = getattr(args, "table", None)
     if table_path:
-        try:
-            cell = lookup(read_csv(table_path), spec.method, n, n_f, q)
-            return CriticalValue(q=q, value=cell.estimate, source="table", stderr=cell.stderr)
-        except TableLookupError:
-            pass  # off-grid keys fall through to simulation, never interpolation
-    cfg = SimConfig(n=n, n_f=n_f, N=args.N, R=args.R, seed=args.seed, q_list=(q,))
-    est = simulate_quantiles(spec, cfg)[0]
-    return CriticalValue(q=q, value=est.estimate, source=SIMULATED, stderr=est.stderr)
+        table = read_csv(table_path)
+        for q in qs:
+            try:
+                cell = lookup(table, spec.method, n, n_f, q)
+            except TableLookupError:
+                continue  # off-grid keys fall through to simulation, never interpolation
+            found[q] = CriticalValue(q=q, value=cell.estimate, source="table", stderr=cell.stderr)
+    missing = tuple(q for q in qs if q not in found)
+    if missing:
+        # per-replica order statistics do not depend on the other levels, so
+        # one run gives each level the value a run of its own would
+        cfg = SimConfig(n=n, n_f=n_f, N=args.N, R=args.R, seed=args.seed, q_list=missing)
+        for q, est in zip(missing, simulate_quantiles(spec, cfg)):
+            found[q] = CriticalValue(q=q, value=est.estimate, source=SIMULATED, stderr=est.stderr)
+    return tuple(found[q] for q in qs)
 
 
 def _fmt_critical(c: CriticalValue) -> str:
@@ -231,16 +241,14 @@ def _cmd_combine(args) -> int:
         raise CliError(str(err), EXIT_USAGE)
 
     if spec.tail is Tail.LOWER:
-        criticals = (_resolve_critical(spec, n, args.nf, args.alpha, args),)
-        reject = statistic <= criticals[0].value
+        qs = (args.alpha,)
     elif spec.tail is Tail.UPPER:
-        criticals = (_resolve_critical(spec, n, args.nf, 1.0 - args.alpha, args),)
-        reject = statistic >= criticals[0].value
+        qs = (1.0 - args.alpha,)
     else:
-        lo = _resolve_critical(spec, n, args.nf, args.alpha / 2.0, args)
-        hi = _resolve_critical(spec, n, args.nf, 1.0 - args.alpha / 2.0, args)
-        criticals = (lo, hi)
-        reject = statistic <= lo.value or statistic >= hi.value
+        qs = (args.alpha / 2.0, 1.0 - args.alpha / 2.0)
+    criticals = _resolve_criticals(spec, n, args.nf, qs, args)
+    reject = ((spec.tail is not Tail.UPPER and statistic <= criticals[0].value)
+              or (spec.tail is not Tail.LOWER and statistic >= criticals[-1].value))
 
     decision = Decision(
         method=spec.method.token,

@@ -128,7 +128,8 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.
         raise DomainError("N must be >= 1")
     parts = []
     if n_f:
-        parts.append(_open_uniform(stream, (N, n_f, 2)).min(axis=2))
+        pairs = _open_uniform(stream, (N, n_f, 2))
+        parts.append(np.minimum(pairs[..., 0], pairs[..., 1]))
     if n - n_f:
         parts.append(_open_uniform(stream, (N, n - n_f)))
     return np.concatenate(parts, axis=1)

@@ -18,7 +18,6 @@ __all__ = [
     "ConvergenceError",
     "BracketError",
     "normal_cdf",
-    "normal_pdf",
     "normal_inv_cdf",
     "reg_lower_gamma",
     "reg_upper_gamma",
@@ -217,7 +216,6 @@ def reg_upper_gamma(a, x):
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def normal_cdf(x):
@@ -237,13 +235,6 @@ def normal_cdf(x):
     out = np.where(xs < 0.0, half_tail, 1.0 - half_tail)
     out[xs == 0.0] = 0.5
     return _scalar_or_array(out.reshape(arr.shape) if arr.shape else out[0], x)
-
-
-def normal_pdf(x):
-    """Standard normal density."""
-    arr = _as_array(x, "x")
-    out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return _scalar_or_array(out, x)
 
 
 # Wichura's AS 241 (PPND16) rational approximations for the normal quantile.
@@ -285,51 +276,45 @@ _PPND_F = (
 )
 
 
-def _ppnd_poly(coeffs, r):
-    out = np.full_like(r, coeffs[7])
-    for c in coeffs[6::-1]:
-        out = out * r + c
-    return out
+def _ppnd_rational(num, den, r):
+    # num(r) / den(r) by Horner, both polynomials in one in-place loop
+    a = np.full_like(r, num[7])
+    b = np.full_like(r, den[7])
+    for cn, cd in zip(num[6::-1], den[6::-1]):
+        a *= r
+        a += cn
+        b *= r
+        b += cd
+    a /= b
+    return a
 
 
-def normal_inv_cdf(p, polish=True):
+def normal_inv_cdf(p):
     """Standard normal quantile for p strictly inside (0, 1).
 
-    AS 241 rational approximation refined by one Newton step on
-    ``normal_cdf``; the result round-trips through the CDF to well under
-    1e-12 on the probability scale.
+    Wichura's AS 241 (PPND16, Appl. Statist. 37:477, 1988): one rational
+    approximation for |p - 0.5| <= 0.425 and two in r = sqrt(-log(min(p,
+    1 - p))), split at r = 5.  Relative error is about 1e-15 down to
+    p = 1e-300, so no refinement step follows.
     """
-    arr = _as_array(p, "p")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("p must lie strictly inside (0, 1)")
     ps = np.atleast_1d(arr)
 
     q = ps - 0.5
-    z = np.empty_like(ps)
+    z = q * _ppnd_rational(_PPND_A, _PPND_B, 0.180625 - q * q)
 
-    central = np.abs(q) <= 0.425
-    if central.any():
-        r = 0.180625 - q[central] * q[central]
-        z[central] = q[central] * _ppnd_poly(_PPND_A, r) / _ppnd_poly(_PPND_B, r)
-
-    tail = ~central
+    tail = np.abs(q) > 0.425
     if tail.any():
-        pt = np.where(q[tail] < 0.0, ps[tail], 1.0 - ps[tail])
-        r = np.sqrt(-np.log(pt))
-        near = r <= 5.0
-        zt = np.empty_like(r)
-        if near.any():
-            rr = r[near] - 1.6
-            zt[near] = _ppnd_poly(_PPND_C, rr) / _ppnd_poly(_PPND_D, rr)
-        if (~near).any():
-            rr = r[~near] - 5.0
-            zt[~near] = _ppnd_poly(_PPND_E, rr) / _ppnd_poly(_PPND_F, rr)
-        z[tail] = np.where(q[tail] < 0.0, -zt, zt)
-
-    if polish:
-        # one Newton step keeps |cdf(z) - p| at machine level
-        err = np.atleast_1d(normal_cdf(z)) - ps
-        z = z - err / np.maximum(normal_pdf(z), _TINY)
+        pt = ps[tail]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        zt = np.where(
+            r <= 5.0,
+            _ppnd_rational(_PPND_C, _PPND_D, r - 1.6),
+            _ppnd_rational(_PPND_E, _PPND_F, r - 5.0),
+        )
+        z[tail] = np.copysign(zt, q[tail])
 
     return _scalar_or_array(z.reshape(arr.shape) if arr.shape else z[0], p)
 

@@ -11,6 +11,7 @@ worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -164,6 +165,8 @@ def generate_table(
     SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
     jobs = [(spec, n, n_f, N, R, seed, tuple(q_list), use_exact) for n, n_f in grid]
 
+    # more processes than jobs or cores only adds fork and import cost
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_worker, jobs))

@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+import metacrit.cli as cli
 from metacrit.cli import main
+from metacrit.estimation import simulate_quantiles
+from metacrit.methods import Method, MethodSpec
+from metacrit.sampling import SimConfig
 from metacrit.tables import read_csv
 
 
@@ -138,6 +142,47 @@ class TestCombine:
         assert len(rec["criticals"]) == 2
         assert rec["criticals"][0]["source"] == "exact"
         assert rec["reject"] is False
+
+    def test_tail_both_simulates_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(spec, cfg):
+            calls.append(cfg.q_list)
+            return simulate_quantiles(spec, cfg)
+
+        monkeypatch.setattr(cli, "simulate_quantiles", counting)
+        code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
+                           "--tail", "both", "--alpha", "0.05", "--p", "0.2,0.7,0.4",
+                           "--N", "499", "--R", "4", "--seed", "21", "--json")
+        assert code == 0
+        assert calls == [(0.025, 0.975)]
+        rec = json.loads(out)
+        for crit in rec["criticals"]:
+            cfg = SimConfig(n=3, n_f=1, N=499, R=4, seed=21, q_list=(crit["q"],))
+            alone = simulate_quantiles(MethodSpec(Method.CHEN), cfg)[0]
+            assert crit["source"] == "simulated"
+            assert crit["value"] == alone.estimate
+            assert crit["stderr"] == alone.stderr
+
+    def test_tail_both_reads_table_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chen.csv"
+        assert main(["gen-table", "--method", "chen", "--n-min", "3", "--n-max", "3",
+                     "--N", "199", "--R", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        reads = []
+
+        def counting(table_path):
+            reads.append(table_path)
+            return read_csv(table_path)
+
+        monkeypatch.setattr(cli, "read_csv", counting)
+        monkeypatch.setattr(cli, "simulate_quantiles", None)  # any call fails
+        code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
+                           "--alpha", "0.05", "--p", "0.2,0.7,0.4",
+                           "--table", str(path), "--json")
+        assert code == 0
+        assert reads == [str(path)]
+        assert [c["source"] for c in json.loads(out)["criticals"]] == ["table", "table"]
 
     def test_permutation_invariant_decision(self, capsys):
         _, out_a, _ = run(capsys, "combine", "--method", "mg", "--nf", "1",

@@ -100,6 +100,17 @@ class TestStreams:
         s2 = replica_stream(5, 2)
         assert np.array_equal(s1.random(100), s2.random(100))
 
+    @pytest.mark.parametrize("n, n_f", [(5, 2), (4, 4), (3, 0)])
+    def test_pmatrix_stream_layout_pinned(self, n, n_f):
+        # fakes take (N, n_f, 2) uniforms reduced pairwise, then the genuine
+        # (N, n - n_f) block; a change here changes every simulated table
+        N = 4999
+        drawn = sample_pmatrix(n, n_f, N, replica_stream(17, 3))
+        twin = replica_stream(17, 3)
+        fakes = twin.random((N, n_f, 2)).min(axis=2)
+        genuine = twin.random((N, n - n_f))
+        assert np.array_equal(drawn, np.concatenate([fakes, genuine], axis=1))
+
     def test_rejects_negative_keys(self):
         with pytest.raises(DomainError):
             replica_stream(-1, 0)

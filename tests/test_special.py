@@ -73,6 +73,21 @@ class TestNormalInvCdf:
         p = np.linspace(1e-12, 1 - 1e-12, 9001)
         assert np.abs(normal_inv_cdf(p) - stats.norm.ppf(p)).max() < 1e-11
 
+    def test_relative_error_against_ndtri(self):
+        rng = np.random.default_rng(241)
+        tails = np.geomspace(1e-300, 0.4, 20001)
+        grids = {
+            "uniform": rng.random(200_000),
+            "central": np.linspace(0.075, 0.925, 20001),
+            "tails": np.concatenate([tails, 1.0 - tails]),
+        }
+        for name, p in grids.items():
+            p = p[(p > 0.0) & (p < 1.0)]
+            ref = sp.ndtri(p)
+            nonzero = ref != 0.0
+            rel = np.abs(normal_inv_cdf(p)[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
+            assert rel.max() <= 2e-15, name
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_endpoints(self, p):
         with pytest.raises(DomainError):

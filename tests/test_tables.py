@@ -111,6 +111,32 @@ class TestDeterminism:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    # n = 1 has two (n, n_f) rows, n = 3 has four
+    @pytest.mark.parametrize("n, cores", [(1, 16), (3, 2)])
+    def test_workers_clamped_to_jobs_and_cores(self, monkeypatch, n, cores):
+        # a serial stand-in for the pool: no process is started
+        recorded = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(tables.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(tables.os, "cpu_count", lambda: cores)
+        table = generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=n, n_max=n,
+                               N=99, R=2, seed=5, workers=64)
+        assert recorded == [2]
+        assert len(table.cells) == len(default_grid(n, n)) * 10
+
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
