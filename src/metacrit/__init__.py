@@ -21,7 +21,6 @@ from .exact import (  # noqa: F401
     UnsupportedExactError,
     exact_cdf,
     exact_quantile,
-    has_exact_cdf,
     has_exact_quantile,
 )
 from .methods import (  # noqa: F401
@@ -37,10 +36,7 @@ from .sampling import (  # noqa: F401
     DEFAULT_SEED,
     SimConfig,
     replica_stream,
-    sample_fake,
-    sample_genuine,
     sample_pmatrix,
-    sample_pvector,
 )
 from .tables import (  # noqa: F401
     CriticalValueTable,

@@ -396,7 +396,8 @@ def main(argv=None) -> int:
     except (TableParseError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableGenerationError, ConvergenceError, BracketError, OSError, ArithmeticError) as err:
+    except (TableGenerationError, ConvergenceError, BracketError, OSError, ArithmeticError,
+            MemoryError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

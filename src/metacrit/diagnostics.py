@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import exact_cdf, has_exact_cdf
+from .exact import exact_cdf, has_exact_quantile
 from .methods import MethodSpec, evaluate_batch
 from .sampling import replica_stream, sample_pmatrix
 from .special import DomainError
@@ -62,7 +62,7 @@ def ks_distance(dump: EcdfDump, cdf=None) -> float:
     the exact law for (method, n, n_f) is used and must exist.
     """
     if cdf is None:
-        if not has_exact_cdf(dump.spec, dump.n, dump.n_f):
+        if not has_exact_quantile(dump.spec, dump.n, dump.n_f):
             raise DomainError(
                 f"no exact distribution for {dump.spec.method.token} "
                 f"with n={dump.n}, n_f={dump.n_f}"

@@ -30,7 +30,6 @@ __all__ = [
     "UnsupportedExactError",
     "has_exact_quantile",
     "exact_quantile",
-    "has_exact_cdf",
     "exact_cdf",
     "tippett_quantile",
     "wilkinson_max_quantile",
@@ -212,13 +211,9 @@ def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
     return edgington_quantile_genuine(n, q)
 
 
-def has_exact_cdf(spec: MethodSpec, n: int, n_f: int) -> bool:
-    return has_exact_quantile(spec, n, n_f)
-
-
 def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
     """Exact null CDF evaluated at x (vectorized) for supported combinations."""
-    if not has_exact_cdf(spec, n, n_f):
+    if not has_exact_quantile(spec, n, n_f):
         raise UnsupportedExactError(
             f"no exact distribution for {spec.method.token} with n={n}, n_f={n_f}"
         )

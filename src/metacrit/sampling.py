@@ -24,9 +24,6 @@ __all__ = [
     "DEFAULT_Q_LEVELS",
     "SimConfig",
     "replica_stream",
-    "sample_genuine",
-    "sample_fake",
-    "sample_pvector",
     "sample_pmatrix",
 ]
 
@@ -85,7 +82,13 @@ def replica_stream(seed: int, replica_index: int) -> np.random.Generator:
 
 def _open_uniform(stream: np.random.Generator, shape) -> np.ndarray:
     """Uniform draws guaranteed strictly inside (0, 1)."""
-    u = stream.random(shape)
+    try:
+        u = stream.random(shape)
+    except (MemoryError, ValueError) as err:
+        # numpy refuses an impossible size with "array is too big" before
+        # allocating anything; both mean the request cannot be met
+        dims = " x ".join(map(str, shape))
+        raise MemoryError(f"cannot allocate {dims} uniforms: {err}") from err
     # numpy's random() lives in [0, 1); an exact 0.0 is a probability-zero
     # event that would break the log-based statistics, so redraw it.
     while True:
@@ -95,33 +98,13 @@ def _open_uniform(stream: np.random.Generator, shape) -> np.ndarray:
         u[bad] = stream.random(int(bad.sum()))
 
 
-def sample_genuine(stream: np.random.Generator) -> float:
-    """One genuine p-value: Uniform(0,1), endpoints excluded."""
-    return float(_open_uniform(stream, 1)[0])
-
-
-def sample_fake(stream: np.random.Generator) -> float:
-    """One fake p-value: min of two fresh uniforms, i.e. Beta(1,2)."""
-    pair = _open_uniform(stream, 2)
-    return float(min(pair[0], pair[1]))
-
-
-def sample_pvector(n: int, n_f: int, stream: np.random.Generator) -> np.ndarray:
-    """One sample of n p-values: n_f fakes first, then n - n_f genuine.
+def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
+    """N samples of n p-values as an (N, n) matrix: in each row the n_f
+    fakes come first, then the n - n_f genuine values.
 
     Every statistic downstream is permutation invariant, so the placement
     is only a convention.
     """
-    if not (0 <= n_f <= n):
-        raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
-    fakes = _open_uniform(stream, (n_f, 2)).min(axis=1) if n_f else np.empty(0)
-    genuine = _open_uniform(stream, n - n_f) if n - n_f else np.empty(0)
-    return np.concatenate([fakes, genuine])
-
-
-def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
-    """N samples at once as an (N, n) matrix; the batch form of
-    ``sample_pvector`` used by the simulation pipeline."""
     if not (0 <= n_f <= n):
         raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
     if N < 1:

@@ -4,7 +4,9 @@ gamma, chi-square and gamma quantiles, and a bracketed root finder.
 Everything here is pure and reentrant.  Functions accept scalars or numpy
 arrays and vectorize over the argument where it matters for performance
 (the normal quantile is evaluated on whole sample matrices by the combined
-test statistics).
+test statistics).  The incomplete gamma has a single scalar kernel: its
+timed callers are the quantile root loops, which pass scalars, and arrays
+are mapped over the same kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def _scalar_or_array(result, template):
 # regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_gamma_series_scalar(a, x):
+def _lower_gamma_series(a, x):
+    # P(a,x) = x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), x < a+1
     if x <= 0.0:
         return 0.0
     total = term = 1.0 / a
@@ -75,7 +78,8 @@ def _lower_gamma_series_scalar(a, x):
     raise ConvergenceError("incomplete gamma series did not converge")
 
 
-def _upper_gamma_cf_scalar(a, x):
+def _upper_gamma_cf(a, x):
+    # Q(a,x) via modified Lentz continued fraction, x >= a+1
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / (b if abs(b) > _TINY else _TINY)
@@ -97,118 +101,52 @@ def _upper_gamma_cf_scalar(a, x):
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _lower_gamma_series(a, x):
-    # P(a,x) = x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), x < a+1
-    total = np.full_like(x, 1.0 / a)
-    term = np.full_like(x, 1.0 / a)
-    denom = a
-    active = x > 0
-    for _ in range(_MAX_SERIES_ITER):
-        if not active.any():
-            break
-        denom += 1.0
-        term = term * x / denom
-        total = np.where(active, total + term, total)
-        active = active & (np.abs(term) > np.abs(total) * 2e-16)
+def _reg_gamma_point(a, x, upper):
+    # series below x = a+1, continued fraction above: the standard regime
+    # split for stability; each side gives its own tail directly
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
+    if x < 0.0:
+        raise DomainError("x must be nonnegative")
+    if x < a + 1.0:
+        lower = _lower_gamma_series(a, x)
+        value = 1.0 - lower if upper else lower
     else:
-        raise ConvergenceError("incomplete gamma series did not converge")
-    log_prefix = np.where(x > 0, a * np.log(np.where(x > 0, x, 1.0)) - x, 0.0)
-    out = total * np.exp(log_prefix - math.lgamma(a))
-    return np.where(x > 0, out, 0.0)
+        tail = _upper_gamma_cf(a, x)
+        value = tail if upper else 1.0 - tail
+    return min(max(value, 0.0), 1.0)
 
 
-def _upper_gamma_cf(a, x):
-    # Q(a,x) via modified Lentz continued fraction, x >= a+1; each element's
-    # value freezes once its correction factor reaches 1 within rounding
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / np.where(np.abs(b) > _TINY, b, _TINY)
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for i in range(1, _MAX_CF_ITER + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) > _TINY, d, _TINY)
-        c = b + an / c
-        c = np.where(np.abs(c) > _TINY, c, _TINY)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(active, h * delta, h)
-        active = active & (np.abs(delta - 1.0) >= 1e-15)
-        if not active.any():
-            break
-    else:
-        raise ConvergenceError("incomplete gamma continued fraction did not converge")
-    return h * np.exp(a * np.log(x) - x - math.lgamma(a))
-
-
-def _check_gamma_shape(a):
+def _reg_gamma(a, x, upper):
     if not (np.isscalar(a) or np.ndim(a) == 0):
         raise DomainError("shape parameter must be scalar")
     a = float(a)
     if not math.isfinite(a) or a <= 0.0:
         raise DomainError("shape parameter must be positive")
-    return a
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return _reg_gamma_point(a, float(x), upper)
+    arr = np.asarray(x, dtype=float)
+    values = [_reg_gamma_point(a, v, upper) for v in arr.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(arr.shape)
 
 
 def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) for scalar a > 0.
 
-    Series expansion below x = a+1, continued fraction above; this is the
-    standard regime split for stability.  ``x`` may be an array; scalars
-    take a fast pure-Python path.
+    A scalar ``x`` returns a float; an array ``x`` maps the same scalar
+    kernel over its elements, so both give identical values.
     """
-    a = _check_gamma_shape(a)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise DomainError("x must be finite")
-        if xf < 0.0:
-            raise DomainError("x must be nonnegative")
-        if xf < a + 1.0:
-            return min(max(_lower_gamma_series_scalar(a, xf), 0.0), 1.0)
-        return min(max(1.0 - _upper_gamma_cf_scalar(a, xf), 0.0), 1.0)
-
-    arr = _as_array(x, "x")
-    if np.any(arr < 0.0):
-        raise DomainError("x must be nonnegative")
-    out = np.empty_like(arr)
-    low = arr < a + 1.0
-    if low.any():
-        out[low] = _lower_gamma_series(a, arr[low])
-    if (~low).any():
-        out[~low] = 1.0 - _upper_gamma_cf(a, arr[~low])
-    return np.clip(out, 0.0, 1.0)
+    return _reg_gamma(a, x, upper=False)
 
 
 def reg_upper_gamma(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 
-    Computed directly from the continued fraction in the right tail so tiny
-    tail probabilities keep full relative accuracy.
+    Taken directly from the continued fraction in the right tail so tiny
+    tail probabilities keep full relative accuracy.  Scalars and arrays are
+    handled as in ``reg_lower_gamma``.
     """
-    a = _check_gamma_shape(a)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise DomainError("x must be finite")
-        if xf < 0.0:
-            raise DomainError("x must be nonnegative")
-        if xf < a + 1.0:
-            return min(max(1.0 - _lower_gamma_series_scalar(a, xf), 0.0), 1.0)
-        return min(max(_upper_gamma_cf_scalar(a, xf), 0.0), 1.0)
-
-    arr = _as_array(x, "x")
-    if np.any(arr < 0.0):
-        raise DomainError("x must be nonnegative")
-    out = np.empty_like(arr)
-    low = arr < a + 1.0
-    if low.any():
-        out[low] = 1.0 - _lower_gamma_series(a, arr[low])
-    if (~low).any():
-        out[~low] = _upper_gamma_cf(a, arr[~low])
-    return np.clip(out, 0.0, 1.0)
+    return _reg_gamma(a, x, upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +164,8 @@ def normal_cdf(x):
     full relative accuracy.
     """
     arr = _as_array(x, "x")
-    xs = np.atleast_1d(arr)
-    half_tail = np.zeros_like(xs)
-    nz = xs != 0.0
-    if nz.any():
-        t = (np.abs(xs[nz]) / _SQRT2) ** 2
-        half_tail[nz] = 0.5 * reg_upper_gamma(0.5, t)
-    out = np.where(xs < 0.0, half_tail, 1.0 - half_tail)
-    out[xs == 0.0] = 0.5
-    return _scalar_or_array(out.reshape(arr.shape) if arr.shape else out[0], x)
+    half_tail = 0.5 * reg_upper_gamma(0.5, (np.abs(arr) / _SQRT2) ** 2)
+    return _scalar_or_array(np.where(arr < 0.0, half_tail, 1.0 - half_tail), x)
 
 
 # Wichura's AS 241 (PPND16) rational approximations for the normal quantile.

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_quantiles
-from .exact import exact_quantile, has_exact_quantile
-from .methods import Method, MethodSpec, parse_method
+from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
+from .methods import Method, MethodSpec, RankError, parse_method
 from .sampling import (
     DEFAULT_N_REPLICAS,
     DEFAULT_N_SAMPLES,
@@ -25,7 +25,7 @@ from .sampling import (
     DEFAULT_SEED,
     SimConfig,
 )
-from .special import DomainError
+from .special import BracketError, ConvergenceError, DomainError
 
 __all__ = [
     "TableCell",
@@ -134,11 +134,16 @@ def _cell_estimates(spec, n, n_f, N, R, seed, q_list, use_exact):
     return simulate_quantiles(spec, cfg)
 
 
+# numeric and domain failures of one cell; anything else is a bug and propagates
+_CELL_FAILURES = (DomainError, RankError, ConvergenceError, BracketError,
+                  UnsupportedExactError, ArithmeticError, MemoryError)
+
+
 def _cell_worker(args):
     spec, n, n_f, N, R, seed, q_list, use_exact = args
     try:
         return n, n_f, _cell_estimates(spec, n, n_f, N, R, seed, q_list, use_exact), None
-    except Exception as err:  # reported per cell by the caller
+    except _CELL_FAILURES as err:  # reported per cell by the caller
         return n, n_f, None, f"{type(err).__name__}: {err}"
 
 

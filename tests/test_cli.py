@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import metacrit.cli as cli
+import metacrit.sampling as sampling
 from metacrit.cli import main
 from metacrit.estimation import simulate_quantiles
 from metacrit.methods import Method, MethodSpec
@@ -243,6 +244,33 @@ class TestValidateAndEcdf:
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, err = run(capsys, "validate", "--method", "pearson", "--n", "3", "--nf", "0")
         assert code == 2
+
+
+class TestMemoryFailure:
+    def test_absurd_N_is_numeric_failure(self):
+        # numpy rejects this size before allocating anything
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "critical",
+                               "--method", "mg", "--n", "5", "--nf", "0", "--q", "0.5",
+                               "--simulate", "--N", "4000000000000000000", "--R", "2"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("combine", "--method", "mg", "--alpha", "0.05", "--nf", "1", "--p", "0.1,0.2,0.3"),
+        ("validate", "--method", "tippett", "--n", "5", "--nf", "0"),
+        ("ecdf", "--method", "chen", "--n", "5", "--nf", "0", "--out", "unused.csv"),
+    ], ids=lambda a: a[0])
+    def test_sampler_memory_error_exits_1(self, argv, capsys, monkeypatch, tmp_path):
+        def exhausted(stream, shape):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(sampling, "_open_uniform", exhausted)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "numeric failure" in err
 
 
 class TestSeedHandling:

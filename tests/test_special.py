@@ -120,6 +120,23 @@ class TestIncompleteGamma:
         with pytest.raises(DomainError):
             reg_lower_gamma(-1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [0.5, 2.5, 13.0, 123.0])
+    def test_array_equals_pointwise(self, a):
+        # one kernel: an array is the scalar path mapped over its elements,
+        # on both sides of the x = a + 1 regime split
+        x = np.linspace(0.0, 6 * a + 30, 401).reshape(401, 1)
+        for f in (reg_lower_gamma, reg_upper_gamma):
+            arr = f(a, x)
+            assert arr.shape == x.shape
+            assert np.array_equal(arr, np.array([[f(a, float(v))] for v in x.ravel()]))
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_array_rejects_bad_entries(self, bad):
+        x = np.array([0.5, 1.0, bad, 2.0])
+        for f in (reg_lower_gamma, reg_upper_gamma):
+            with pytest.raises(DomainError):
+                f(2.5, x)
+
 
 class TestQuantiles:
     def test_printed_reference_points(self):

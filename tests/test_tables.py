@@ -228,6 +228,15 @@ class TestGenerationFailures:
             generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
                            N=50, R=2, seed=1)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(spec, cfg):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(tables, "simulate_quantiles", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
+                           N=50, R=2, seed=1)
+
 
 class TestRenderText:
     def test_contains_rows_and_stderr(self):
