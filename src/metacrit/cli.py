@@ -54,12 +54,22 @@ class CliError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class CriticalValue:
-    """One resolved rejection threshold with its provenance."""
+    """One resolved rejection threshold with its provenance.  A simulated
+    value also carries the seed, N and R that reproduce it."""
 
     q: float
     value: float
     source: str  # exact | table | simulated
     stderr: float | None = None
+    seed: int | None = None
+    N: int | None = None
+    R: int | None = None
+
+    def record(self) -> dict:
+        rec = dataclasses.asdict(self)
+        if self.source != SIMULATED:
+            del rec["seed"], rec["N"], rec["R"]
+        return rec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +93,7 @@ class Decision:
             "n_f": self.n_f,
             "alpha": self.alpha,
             "statistic": self.statistic,
-            "criticals": [dataclasses.asdict(c) for c in self.criticals],
+            "criticals": [c.record() for c in self.criticals],
             "reject": self.reject,
         }
         return json.dumps(rec)
@@ -158,7 +168,8 @@ def _resolve_criticals(spec: MethodSpec, n: int, n_f: int, qs: tuple, args) -> t
         # one run gives each level the value a run of its own would
         cfg = SimConfig(n=n, n_f=n_f, N=args.N, R=args.R, seed=args.seed, q_list=missing)
         for q, est in zip(missing, simulate_quantiles(spec, cfg)):
-            found[q] = CriticalValue(q=q, value=est.estimate, source=SIMULATED, stderr=est.stderr)
+            found[q] = CriticalValue(q=q, value=est.estimate, source=SIMULATED, stderr=est.stderr,
+                                     seed=cfg.seed, N=cfg.N, R=cfg.R)
     return tuple(found[q] for q in qs)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import exact_cdf, has_exact_quantile
-from .methods import MethodSpec, evaluate_batch
-from .sampling import replica_stream, sample_pmatrix
+from .methods import MethodSpec
+from .sampling import replica_stream, sample_statistic
 from .special import DomainError
 
 __all__ = [
@@ -46,10 +46,8 @@ class EcdfDump:
 
 def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int, replica: int = 0) -> EcdfDump:
     """One replica's empirical distribution of the combined statistic."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
     stream = replica_stream(seed, replica)
-    stats = np.sort(evaluate_batch(spec, sample_pmatrix(n, n_f, N, stream)))
+    stats = np.sort(sample_statistic(spec, n, n_f, N, stream))
     heights = np.arange(1, N + 1) / N
     return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f,
                     N=N, seed=seed, replica=replica)

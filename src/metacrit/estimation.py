@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .methods import MethodSpec, evaluate_batch
-from .sampling import SimConfig, replica_stream, sample_pmatrix
+from .methods import MethodSpec
+from .sampling import SimConfig, replica_stream, sample_statistic
 from .special import DomainError, normal_inv_cdf
 
 __all__ = [
@@ -74,8 +74,7 @@ def run_replica(spec: MethodSpec, cfg: SimConfig, replica_index: int) -> np.ndar
     if not (0 <= replica_index < cfg.R):
         raise DomainError("replica index outside 0..R-1")
     stream = replica_stream(cfg.seed, replica_index)
-    pmat = sample_pmatrix(cfg.n, cfg.n_f, cfg.N, stream)
-    stats = np.sort(evaluate_batch(spec, pmat))
+    stats = np.sort(sample_statistic(spec, cfg.n, cfg.n_f, cfg.N, stream))
     idx = np.array([quantile_index(cfg.N, q) - 1 for q in cfg.q_list])
     return stats[idx]
 

@@ -23,6 +23,7 @@ __all__ = [
     "parse_method",
     "evaluate_statistic",
     "evaluate_batch",
+    "SCORE_STATISTICS",
     "validate_pvector",
 ]
 
@@ -137,11 +138,6 @@ def _stat_min_gm(p):
     return np.minimum(_stat_gm(p), _stat_gm(1.0 - p))
 
 
-def _stat_stouffer(p):
-    n = p.shape[-1]
-    return np.sum(normal_inv_cdf(p), axis=-1) / np.sqrt(n)
-
-
 def _stat_edgington(p):
     return np.mean(p, axis=-1)
 
@@ -155,8 +151,11 @@ def _stat_harmonic(p):
     return n / np.sum(1.0 / p, axis=-1)
 
 
-def _stat_chen(p):
-    z = normal_inv_cdf(p)
+def _score_stouffer(z):
+    return np.sum(z, axis=-1) / np.sqrt(z.shape[-1])
+
+
+def _score_chen(z):
     return np.sum(z * z, axis=-1)
 
 
@@ -165,11 +164,16 @@ _STATS = {
     Method.FISHER: _stat_fisher,
     Method.GEOMETRIC_MEAN: _stat_gm,
     Method.MIN_GEOMETRIC_MEANS: _stat_min_gm,
-    Method.STOUFFER: _stat_stouffer,
     Method.EDGINGTON: _stat_edgington,
     Method.MUDHOLKAR_GEORGE: _stat_mg,
     Method.WILSON_HARMONIC: _stat_harmonic,
-    Method.CHEN: _stat_chen,
+}
+
+# statistics of the normal scores z = Phi^-1(p), which the simulation draws
+# directly
+SCORE_STATISTICS = {
+    Method.STOUFFER: _score_stouffer,
+    Method.CHEN: _score_chen,
 }
 
 
@@ -183,6 +187,8 @@ def evaluate_batch(spec: MethodSpec, pmatrix: np.ndarray) -> np.ndarray:
     if spec.method is Method.WILKINSON:
         k = spec.resolve_k(n)
         return np.sort(pmatrix, axis=-1)[..., k - 1]
+    if spec.method in SCORE_STATISTICS:
+        return SCORE_STATISTICS[spec.method](normal_inv_cdf(pmatrix))
     return _STATS[spec.method](pmatrix)
 
 

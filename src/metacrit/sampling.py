@@ -2,8 +2,12 @@
 
 Genuine p-values are Uniform(0,1).  A fake p-value is the smaller of two
 independent uniforms -- the report of a hidden repeated experiment -- and is
-therefore Beta(1,2) distributed.  Fake draws consume exactly two uniforms
+therefore Beta(1,2) distributed.  Fake draws consume exactly two base draws
 each, mirroring that generative story.
+
+Stouffer and Chen see p only through the normal scores Phi^-1(p), an
+increasing map, so their simulations draw the scores directly in the same
+layout: a genuine score is standard normal, a fake one the smaller of two.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, replica_index) through numpy's SeedSequence hash, so every replica's
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .methods import SCORE_STATISTICS, MethodSpec, evaluate_batch
 from .special import DomainError
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "SimConfig",
     "replica_stream",
     "sample_pmatrix",
+    "sample_statistic",
 ]
 
 DEFAULT_SEED = 20240101
@@ -80,22 +86,39 @@ def replica_stream(seed: int, replica_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(replica_index)))))
 
 
-def _open_uniform(stream: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws guaranteed strictly inside (0, 1)."""
+def _draw(stream: np.random.Generator, shape, scores: bool) -> np.ndarray:
+    """Base draws of one block: standard normal scores, or uniforms strictly
+    inside (0, 1)."""
     try:
-        u = stream.random(shape)
+        x = stream.standard_normal(shape) if scores else stream.random(shape)
     except (MemoryError, ValueError) as err:
         # numpy refuses an impossible size with "array is too big" before
         # allocating anything; both mean the request cannot be met
         dims = " x ".join(map(str, shape))
-        raise MemoryError(f"cannot allocate {dims} uniforms: {err}") from err
+        raise MemoryError(f"cannot allocate {dims} draws: {err}") from err
+    if scores:
+        return x
     # numpy's random() lives in [0, 1); an exact 0.0 is a probability-zero
     # event that would break the log-based statistics, so redraw it.
     while True:
-        bad = (u <= 0.0) | (u >= 1.0)
+        bad = (x <= 0.0) | (x >= 1.0)
         if not bad.any():
-            return u
-        u[bad] = stream.random(int(bad.sum()))
+            return x
+        x[bad] = stream.random(int(bad.sum()))
+
+
+def _sample(n: int, n_f: int, N: int, stream: np.random.Generator, scores: bool) -> np.ndarray:
+    if not (0 <= n_f <= n):
+        raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    parts = []
+    if n_f:
+        pairs = _draw(stream, (N, n_f, 2), scores)
+        parts.append(np.minimum(pairs[..., 0], pairs[..., 1]))
+    if n - n_f:
+        parts.append(_draw(stream, (N, n - n_f), scores))
+    return np.concatenate(parts, axis=1)
 
 
 def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
@@ -105,14 +128,15 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.
     Every statistic downstream is permutation invariant, so the placement
     is only a convention.
     """
-    if not (0 <= n_f <= n):
-        raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    parts = []
-    if n_f:
-        pairs = _open_uniform(stream, (N, n_f, 2))
-        parts.append(np.minimum(pairs[..., 0], pairs[..., 1]))
-    if n - n_f:
-        parts.append(_open_uniform(stream, (N, n - n_f)))
-    return np.concatenate(parts, axis=1)
+    return _sample(n, n_f, N, stream, scores=False)
+
+
+def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int,
+                     stream: np.random.Generator) -> np.ndarray:
+    """N simulated values of the statistic for n p-values, n_f of them fake.
+    Score statistics (Stouffer, Chen) get their scores drawn directly in the
+    ``sample_pmatrix`` layout, so no probit runs."""
+    score = SCORE_STATISTICS.get(spec.method)
+    if score is None:
+        return evaluate_batch(spec, sample_pmatrix(n, n_f, N, stream))
+    return score(_sample(n, n_f, N, stream, scores=True))

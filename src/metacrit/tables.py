@@ -14,6 +14,8 @@ import concurrent.futures
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_quantiles
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
@@ -96,6 +98,7 @@ class CriticalValueTable:
     N: int = DEFAULT_N_SAMPLES
     R: int = DEFAULT_N_REPLICAS
     version: str = __version__
+    numpy: str = np.__version__  # simulated cells depend on numpy's generators
 
     def add(self, cell: TableCell):
         key = (cell.method, cell.n, cell.n_f, cell.q)
@@ -206,6 +209,7 @@ def write_csv(table: CriticalValueTable, path):
         f.write(f"# N={table.N}\n")
         f.write(f"# R={table.R}\n")
         f.write(f"# version={table.version}\n")
+        f.write(f"# numpy={table.numpy}\n")
         f.write(_HEADER + "\n")
         for c in table.sorted_cells():
             f.write(
@@ -257,6 +261,7 @@ def read_csv(path) -> CriticalValueTable:
     if "R" in meta:
         table.R = int(meta["R"])
     table.version = meta.get("version", "")
+    table.numpy = meta.get("numpy", "")
     return table
 
 

@@ -165,6 +165,28 @@ class TestCombine:
             assert crit["value"] == alone.estimate
             assert crit["stderr"] == alone.stderr
 
+    def test_simulated_record_replays(self, capsys):
+        code, out, _ = run(capsys, "combine", "--method", "stouffer", "--nf", "1",
+                           "--alpha", "0.05", "--p", "0.2,0.7,0.4,0.1",
+                           "--N", "299", "--R", "3", "--seed", "0x51", "--json")
+        assert code == 0
+        crit = json.loads(out)["criticals"][0]
+        assert (crit["source"], crit["seed"], crit["N"], crit["R"]) == ("simulated", 0x51, 299, 3)
+        cfg = SimConfig(n=4, n_f=1, N=crit["N"], R=crit["R"], seed=crit["seed"],
+                        q_list=(crit["q"],))
+        assert simulate_quantiles(MethodSpec(Method.STOUFFER), cfg)[0].estimate == crit["value"]
+        code, out, _ = run(capsys, "critical", "--method", "stouffer", "--n", "4", "--nf", "1",
+                           "--q", repr(crit["q"]), "--simulate", "--seed", str(crit["seed"]),
+                           "--N", str(crit["N"]), "--R", str(crit["R"]))
+        assert code == 0
+        assert out.split()[0] == f"{crit['value']:.6g}"
+
+    def test_exact_record_keys(self, capsys):
+        code, out, _ = run(capsys, "combine", "--method", "fisher", "--nf", "0",
+                           "--alpha", "0.05", "--p", "0.2,0.7,0.4", "--json")
+        assert code == 0
+        assert list(json.loads(out)["criticals"][0]) == ["q", "value", "source", "stderr"]
+
     def test_tail_both_reads_table_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "chen.csv"
         assert main(["gen-table", "--method", "chen", "--n-min", "3", "--n-max", "3",
@@ -257,16 +279,26 @@ class TestMemoryFailure:
         assert "numeric failure" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_absurd_N_of_normal_scores_is_numeric_failure(self):
+        # chen draws normal scores, not uniforms
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "critical",
+                               "--method", "chen", "--n", "5", "--nf", "1", "--q", "0.5",
+                               "--simulate", "--N", "4000000000000000000", "--R", "2"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ("combine", "--method", "mg", "--alpha", "0.05", "--nf", "1", "--p", "0.1,0.2,0.3"),
         ("validate", "--method", "tippett", "--n", "5", "--nf", "0"),
         ("ecdf", "--method", "chen", "--n", "5", "--nf", "0", "--out", "unused.csv"),
     ], ids=lambda a: a[0])
     def test_sampler_memory_error_exits_1(self, argv, capsys, monkeypatch, tmp_path):
-        def exhausted(stream, shape):
+        def exhausted(stream, shape, scores):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(sampling, "_open_uniform", exhausted)
+        monkeypatch.setattr(sampling, "_draw", exhausted)
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, *argv)
         assert code == 1

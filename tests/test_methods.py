@@ -8,6 +8,7 @@ import pytest
 
 from metacrit.methods import (
     DEFAULT_TAILS,
+    SCORE_STATISTICS,
     Method,
     MethodSpec,
     RankError,
@@ -16,7 +17,7 @@ from metacrit.methods import (
     evaluate_statistic,
     parse_method,
 )
-from metacrit.special import DomainError
+from metacrit.special import DomainError, normal_inv_cdf
 
 
 def spec(method, **kw):
@@ -143,6 +144,13 @@ class TestProperties:
             batch = evaluate_batch(spec(m), pm)
             single = np.array([evaluate_statistic(spec(m), row) for row in pm])
             assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("method", [Method.STOUFFER, Method.CHEN])
+    def test_score_statistic_on_probits(self, method):
+        # the simulation applies the same function to drawn scores
+        pm = np.random.default_rng(31).uniform(1e-9, 1 - 1e-9, size=(200, 6))
+        assert np.array_equal(evaluate_batch(spec(method), pm),
+                              SCORE_STATISTICS[method](normal_inv_cdf(pm)))
 
 
 class TestValidation:

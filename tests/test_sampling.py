@@ -1,10 +1,13 @@
 """Sampler: distributional checks on large draws, determinism, substream
 behavior, and config validation."""
 
+import math
+
 import numpy as np
 import pytest
 
-from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix
+from metacrit.methods import Method, MethodSpec
+from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix, sample_statistic
 from metacrit.special import DomainError
 
 
@@ -42,6 +45,18 @@ class TestFake:
         draws = sample_pmatrix(1, 1, 1_000_000, stream).ravel()
         assert (draws <= 0.5).mean() == pytest.approx(0.75, abs=0.0015)
         assert (draws <= 0.1).mean() == pytest.approx(0.19, abs=0.0013)
+
+
+class TestFakeScores:
+    def test_skew_normal_moments(self):
+        # min(Z1, Z2) is skew-normal with alpha = -1: mean -1/sqrt(pi),
+        # variance 1 - 1/pi; Stouffer at n = n_f = 1 is the score itself
+        N = 200_000
+        z = sample_statistic(MethodSpec(Method.STOUFFER), 1, 1, N, replica_stream(6, 0))
+        mean, var = z.mean(), z.var()
+        assert abs(mean + 1 / math.sqrt(math.pi)) < 4 * math.sqrt(var / N)
+        se_var = math.sqrt(np.var((z - mean) ** 2) / N)
+        assert abs(var - (1 - 1 / math.pi)) < 4 * se_var
 
 
 class TestPvector:
@@ -87,6 +102,20 @@ class TestStreams:
         fakes = twin.random((N, n_f, 2)).min(axis=2)
         genuine = twin.random((N, n - n_f))
         assert np.array_equal(drawn, np.concatenate([fakes, genuine], axis=1))
+
+    @pytest.mark.parametrize("n, n_f", [(5, 2), (4, 4), (3, 0)])
+    def test_score_stream_layout_pinned(self, n, n_f):
+        # Stouffer and Chen draw normal scores in the pmatrix layout: fakes as
+        # (N, n_f, 2) normals reduced pairwise, then the genuine (N, n - n_f)
+        N = 4999
+        twin = replica_stream(17, 3)
+        fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
+        z = np.concatenate([fakes, twin.standard_normal((N, n - n_f))], axis=1)
+        expected = {Method.STOUFFER: np.sum(z, axis=-1) / np.sqrt(n),
+                    Method.CHEN: np.sum(z * z, axis=-1)}
+        for method, want in expected.items():
+            drawn = sample_statistic(MethodSpec(method), n, n_f, N, replica_stream(17, 3))
+            assert np.array_equal(drawn, want)
 
     def test_rejects_negative_keys(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Grid layout, table generation, CSV round-trips, and lookup behavior."""
 
+import numpy as np
 import pytest
 
 import metacrit.tables as tables
@@ -173,6 +174,12 @@ class TestCsv:
         back = read_csv(path)
         assert (back.seed, back.N, back.R) == (0xBEEF, 777, 9)
         assert back.version == table.version
+
+    def test_numpy_version_recorded(self, tmp_path):
+        path = tmp_path / "np.csv"
+        write_csv(generate_table(MethodSpec(Method.TIPPETT), n_min=3, n_max=3), path)
+        assert f"# numpy={np.__version__}" in path.read_text().splitlines()
+        assert read_csv(path).numpy == np.__version__
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
