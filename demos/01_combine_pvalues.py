@@ -7,46 +7,39 @@ gets its critical value from the exact law when one exists and from a quick
 simulation otherwise.
 """
 
-from metacrit import (
-    Method,
-    MethodSpec,
-    SimConfig,
-    Tail,
-    evaluate_statistic,
-    exact_quantile,
-    has_exact_quantile,
-    simulate_quantiles,
-)
+from metacrit import Method, MethodSpec, Tail, evaluate_statistic, resolve_quantiles
 
 P_OBSERVED = [0.021, 0.048, 0.11, 0.33, 0.62]
 ALPHA = 0.05
+SIM = (4999, 50, 20240101)  # (N, R, seed) for critical values with no exact law
 
 
-def critical_value(spec, n, n_f, q):
-    if has_exact_quantile(spec, n, n_f):
-        return exact_quantile(spec, n, n_f, q), "exact"
-    cfg = SimConfig(n=n, n_f=n_f, N=4999, R=50, seed=20240101, q_list=(q,))
-    est = simulate_quantiles(spec, cfg)[0]
-    return est.estimate, f"simulated, se={est.stderr:.2g}"
+def source(est):
+    if est.stderr is None:
+        return est.provenance
+    return f"{est.provenance}, se={est.stderr:.2g}"
 
 
 def decide(spec, p, n_f):
     n = len(p)
     t = evaluate_statistic(spec, p)
     if spec.tail is Tail.LOWER:
-        c, src = critical_value(spec, n, n_f, ALPHA)
-        reject = t <= c
-        region = f"T <= {c:.4g}"
+        qs = (ALPHA,)
     elif spec.tail is Tail.UPPER:
-        c, src = critical_value(spec, n, n_f, 1 - ALPHA)
-        reject = t >= c
-        region = f"T >= {c:.4g}"
+        qs = (1 - ALPHA,)
     else:
-        lo, src_lo = critical_value(spec, n, n_f, ALPHA / 2)
-        hi, src_hi = critical_value(spec, n, n_f, 1 - ALPHA / 2)
-        reject = t <= lo or t >= hi
-        region = f"T <= {lo:.4g} or T >= {hi:.4g}"
-        src = f"{src_lo}; {src_hi}"
+        qs = (ALPHA / 2, 1 - ALPHA / 2)
+    # both levels of a two-sided test come from one call, so one simulation
+    crit = resolve_quantiles(spec, n, n_f, qs, sim=SIM)
+    bounds, reject = [], False
+    if spec.tail is not Tail.UPPER:
+        bounds.append(f"T <= {crit[0].estimate:.4g}")
+        reject |= t <= crit[0].estimate
+    if spec.tail is not Tail.LOWER:
+        bounds.append(f"T >= {crit[-1].estimate:.4g}")
+        reject |= t >= crit[-1].estimate
+    region = " or ".join(bounds)
+    src = "; ".join(source(est) for est in crit)
     verdict = "REJECT" if reject else "retain"
     print(f"  {spec.method.token:10s} T = {t:9.4f}   reject if {region:28s} "
           f"[{src}] -> {verdict}")

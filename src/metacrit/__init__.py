@@ -46,5 +46,6 @@ from .tables import (  # noqa: F401
     lookup,
     read_csv,
     render_text,
+    resolve_quantiles,
     write_csv,
 )

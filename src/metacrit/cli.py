@@ -14,28 +14,22 @@ import os
 import sys
 
 from .diagnostics import ecdf, ks_critical_value, ks_distance, write_ecdf_csv
-from .estimation import SIMULATED, simulate_quantiles
-from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
-from .methods import Method, MethodSpec, Tail, evaluate_statistic, parse_method
-from .sampling import (
-    DEFAULT_N_REPLICAS,
-    DEFAULT_N_SAMPLES,
-    DEFAULT_Q_LEVELS,
-    DEFAULT_SEED,
-    SimConfig,
-)
+from .estimation import SIMULATED, QuantileEstimate
+from .exact import UnsupportedExactError, has_exact_quantile
+from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
+from .sampling import DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED
 from .special import BracketError, ConvergenceError, DomainError
 from .tables import (
     TableGenerationError,
     TableLookupError,
     TableParseError,
     generate_table,
-    lookup,
     read_csv,
+    resolve_quantiles,
     write_csv,
 )
 
-__all__ = ["main", "Decision", "CriticalValue"]
+__all__ = ["main", "Decision"]
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -53,28 +47,10 @@ class CliError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class CriticalValue:
-    """One resolved rejection threshold with its provenance.  A simulated
-    value also carries the seed, N and R that reproduce it."""
-
-    q: float
-    value: float
-    source: str  # exact | table | simulated
-    stderr: float | None = None
-    seed: int | None = None
-    N: int | None = None
-    R: int | None = None
-
-    def record(self) -> dict:
-        rec = dataclasses.asdict(self)
-        if self.source != SIMULATED:
-            del rec["seed"], rec["N"], rec["R"]
-        return rec
-
-
-@dataclasses.dataclass(frozen=True)
 class Decision:
-    """Verdict on the overall null: all individual nulls true."""
+    """Verdict on the overall null: all individual nulls true.  ``criticals``
+    holds one QuantileEstimate per level; ``sim`` is the (N, R, seed) that
+    reproduces a simulated one."""
 
     method: str
     tail: str
@@ -84,18 +60,20 @@ class Decision:
     statistic: float
     criticals: tuple
     reject: bool
+    sim: tuple
+
+    def _record(self, est: QuantileEstimate) -> dict:
+        rec = {"q": est.q, "value": est.estimate, "source": est.provenance, "stderr": est.stderr}
+        if est.provenance == SIMULATED:
+            N, R, seed = self.sim
+            rec.update(seed=seed, N=N, R=R)
+        return rec
 
     def to_json(self) -> str:
-        rec = {
-            "method": self.method,
-            "tail": self.tail,
-            "n": self.n,
-            "n_f": self.n_f,
-            "alpha": self.alpha,
-            "statistic": self.statistic,
-            "criticals": [c.record() for c in self.criticals],
-            "reject": self.reject,
-        }
+        # the record's keys are the fields in declaration order, less ``sim``
+        rec = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        rec["criticals"] = [self._record(c) for c in self.criticals]
+        del rec["sim"]
         return json.dumps(rec)
 
 
@@ -146,37 +124,10 @@ def _parse_pvalues(args) -> list:
     return values
 
 
-def _resolve_criticals(spec: MethodSpec, n: int, n_f: int, qs: tuple, args) -> tuple:
-    """Critical values at the increasing levels ``qs``.  Resolution order:
-    exact law, then table file, then one simulation for every level left."""
-    if has_exact_quantile(spec, n, n_f):
-        return tuple(CriticalValue(q=q, value=exact_quantile(spec, n, n_f, q), source="exact")
-                     for q in qs)
-    found = {}
-    table_path = getattr(args, "table", None)
-    if table_path:
-        table = read_csv(table_path)
-        for q in qs:
-            try:
-                cell = lookup(table, spec.method, n, n_f, q)
-            except TableLookupError:
-                continue  # off-grid keys fall through to simulation, never interpolation
-            found[q] = CriticalValue(q=q, value=cell.estimate, source="table", stderr=cell.stderr)
-    missing = tuple(q for q in qs if q not in found)
-    if missing:
-        # per-replica order statistics do not depend on the other levels, so
-        # one run gives each level the value a run of its own would
-        cfg = SimConfig(n=n, n_f=n_f, N=args.N, R=args.R, seed=args.seed, q_list=missing)
-        for q, est in zip(missing, simulate_quantiles(spec, cfg)):
-            found[q] = CriticalValue(q=q, value=est.estimate, source=SIMULATED, stderr=est.stderr,
-                                     seed=cfg.seed, N=cfg.N, R=cfg.R)
-    return tuple(found[q] for q in qs)
-
-
-def _fmt_critical(c: CriticalValue) -> str:
-    text = f"critical[q={c.q:g}] = {c.value:.6g} ({c.source}"
-    if c.stderr is not None:
-        text += f", stderr={c.stderr:.3g}"
+def _fmt_critical(est: QuantileEstimate) -> str:
+    text = f"critical[q={est.q:g}] = {est.estimate:.6g} ({est.provenance}"
+    if est.stderr is not None:
+        text += f", stderr={est.stderr:.3g}"
     return text + ")"
 
 
@@ -205,34 +156,23 @@ def _cmd_gen_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     spec = MethodSpec(parse_method(args.method))
-    chosen = [name for name, on in
-              (("--exact", args.exact), ("--table", args.table is not None),
-               ("--simulate", args.simulate)) if on]
-    if len(chosen) != 1:
+    if args.exact + (args.table is not None) + args.simulate != 1:
         raise CliError("choose exactly one of --exact, --table PATH, --simulate", EXIT_USAGE)
 
-    if args.exact:
-        if not has_exact_quantile(spec, args.n, args.nf):
-            print(
-                f"no exact law for {spec.method.token} with n={args.n}, n_f={args.nf}; "
-                "rerun with --simulate",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_FOUND
-        value = exact_quantile(spec, args.n, args.nf, args.q)
-        print(f"{value:.6g} (exact)")
-        return EXIT_OK
-
-    if args.table is not None:
-        cell = lookup(read_csv(args.table), spec.method, args.n, args.nf, args.q)
-        se = "" if cell.stderr is None else f" stderr={cell.stderr:.3g}"
-        print(f"{cell.estimate:.6g} ({cell.provenance}, table){se}")
-        return EXIT_OK
-
-    cfg = SimConfig(n=args.n, n_f=args.nf, N=args.N, R=args.R, seed=args.seed, q_list=(args.q,))
-    est = simulate_quantiles(spec, cfg)[0]
+    table = read_csv(args.table) if args.table is not None else None
+    sim = (args.N, args.R, args.seed) if args.simulate else None
+    try:
+        est = resolve_quantiles(spec, args.n, args.nf, (args.q,), use_exact=args.exact,
+                                table=table, sim=sim)[0]
+    except UnsupportedExactError:  # only --exact can miss this way
+        print(
+            f"no exact law for {spec.method.token} with n={args.n}, n_f={args.nf}; "
+            "rerun with --simulate",
+            file=sys.stderr,
+        )
+        return EXIT_NOT_FOUND
     se = "" if est.stderr is None else f" stderr={est.stderr:.3g}"
-    print(f"{est.estimate:.6g} (simulated){se}")
+    print(f"{est.estimate:.6g} ({est.provenance}){se}")
     return EXIT_OK
 
 
@@ -257,9 +197,14 @@ def _cmd_combine(args) -> int:
         qs = (1.0 - args.alpha,)
     else:
         qs = (args.alpha / 2.0, 1.0 - args.alpha / 2.0)
-    criticals = _resolve_criticals(spec, n, args.nf, qs, args)
-    reject = ((spec.tail is not Tail.UPPER and statistic <= criticals[0].value)
-              or (spec.tail is not Tail.LOWER and statistic >= criticals[-1].value))
+    # the table file is read only when no exact law answers
+    table = None
+    if args.table and not has_exact_quantile(spec, n, args.nf):
+        table = read_csv(args.table)
+    sim = (args.N, args.R, args.seed)
+    criticals = resolve_quantiles(spec, n, args.nf, qs, table=table, sim=sim)
+    reject = ((spec.tail is not Tail.UPPER and statistic <= criticals[0].estimate)
+              or (spec.tail is not Tail.LOWER and statistic >= criticals[-1].estimate))
 
     decision = Decision(
         method=spec.method.token,
@@ -268,8 +213,9 @@ def _cmd_combine(args) -> int:
         n_f=args.nf,
         alpha=args.alpha,
         statistic=statistic,
-        criticals=criticals,
+        criticals=tuple(criticals),
         reject=reject,
+        sim=sim,
     )
     if args.json:
         print(decision.to_json())

@@ -156,7 +156,7 @@ def fake_fisher_transform_check(p_fakes) -> float:
 
 
 # ---------------------------------------------------------------------------
-# support matrix and dispatch
+# the law table and its dispatch
 # ---------------------------------------------------------------------------
 
 def _wilkinson_cdf(n: int, n_f: int, x):
@@ -164,73 +164,59 @@ def _wilkinson_cdf(n: int, n_f: int, x):
     return x ** (n - n_f) * (2.0 * x - x * x) ** n_f
 
 
-def has_exact_quantile(spec: MethodSpec, n: int, n_f: int) -> bool:
-    """Whether an exact quantile exists for (method, n, n_f).
+def _genuine_only(spec, n, n_f):
+    return n_f == 0
 
-    Tippett and Wilkinson-with-k=n for any n_f; Fisher, Chen, Stouffer and
-    the geometric mean only with n_f = 0; Edgington with n_f = 0 and
-    n <= 12 (oracle-grade).  The Wilkinson path with fakes is a derived
-    closed form the published tables only simulate; provenance stays
-    distinguishable through the table generator's metadata.
-    """
+
+# Tippett and Wilkinson-with-k=n for any n_f; Fisher, Chen, Stouffer and the
+# geometric mean only with n_f = 0; Edgington with n_f = 0 and n <= 12
+# (oracle-grade).  The Wilkinson path with fakes is a derived closed form the
+# published tables only simulate; provenance stays distinguishable through
+# the table generator's metadata.  A method missing here has no exact law.
+#
+# method -> (supports(spec, n, n_f), quantile(n, n_f, q), cdf(n, n_f, x)),
+# where the CDF receives x as a float array
+_LAWS = {
+    Method.TIPPETT: (lambda spec, n, n_f: True, tippett_quantile,
+                     lambda n, n_f, x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (n + n_f)),
+    Method.WILKINSON: (lambda spec, n, n_f: spec.resolve_k(n) == n, wilkinson_max_quantile,
+                       lambda n, n_f, x: _wilkinson_cdf(n, n_f, np.clip(x, 0.0, 1.0))),
+    Method.FISHER: (_genuine_only, lambda n, n_f, q: fisher_quantile_genuine(n, q),
+                    lambda n, n_f, x: reg_lower_gamma(n, np.maximum(x, 0.0) / 2.0)),
+    Method.CHEN: (_genuine_only, lambda n, n_f, q: chen_quantile_genuine(n, q),
+                  lambda n, n_f, x: reg_lower_gamma(n / 2.0, np.maximum(x, 0.0) / 2.0)),
+    Method.STOUFFER: (_genuine_only, lambda n, n_f, q: stouffer_quantile_genuine(q),
+                      lambda n, n_f, x: normal_cdf(x)),
+    Method.GEOMETRIC_MEAN: (
+        _genuine_only, lambda n, n_f, q: gm_quantile_genuine(n, q),
+        lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * np.log(np.clip(x, 1e-300, 1.0)))),
+    Method.EDGINGTON: (lambda spec, n, n_f: n_f == 0 and 2 <= n <= EDGINGTON_MAX_N,
+                       lambda n, n_f, q: edgington_quantile_genuine(n, q),
+                       lambda n, n_f, x: edgington_cdf_genuine(n, np.clip(x, 0.0, 1.0))),
+}
+
+
+def has_exact_quantile(spec: MethodSpec, n: int, n_f: int) -> bool:
+    """Whether an exact law exists for (method, n, n_f)."""
     _check_grid(n, n_f)
-    m = spec.method
-    if m is Method.TIPPETT:
-        return True
-    if m is Method.WILKINSON:
-        return spec.resolve_k(n) == n
-    if n_f != 0:
-        return False
-    if m in (Method.FISHER, Method.CHEN, Method.STOUFFER, Method.GEOMETRIC_MEAN):
-        return True
-    if m is Method.EDGINGTON:
-        return 2 <= n <= EDGINGTON_MAX_N
-    return False
+    law = _LAWS.get(spec.method)
+    return law is not None and law[0](spec, n, n_f)
+
+
+def _law(spec: MethodSpec, n: int, n_f: int) -> tuple:
+    if not has_exact_quantile(spec, n, n_f):
+        raise UnsupportedExactError(f"no exact law for {spec.method.token} with n={n}, n_f={n_f}")
+    return _LAWS[spec.method]
 
 
 def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
-    """Dispatch to the exact quantile; raises UnsupportedExactError when the
-    combination has no closed form."""
-    if not has_exact_quantile(spec, n, n_f):
-        raise UnsupportedExactError(
-            f"no exact quantile for {spec.method.token} with n={n}, n_f={n_f}"
-        )
-    m = spec.method
-    if m is Method.TIPPETT:
-        return tippett_quantile(n, n_f, q)
-    if m is Method.WILKINSON:
-        return wilkinson_max_quantile(n, n_f, q)
-    if m is Method.FISHER:
-        return fisher_quantile_genuine(n, q)
-    if m is Method.CHEN:
-        return chen_quantile_genuine(n, q)
-    if m is Method.STOUFFER:
-        return stouffer_quantile_genuine(q)
-    if m is Method.GEOMETRIC_MEAN:
-        return gm_quantile_genuine(n, q)
-    return edgington_quantile_genuine(n, q)
+    """Exact quantile; raises UnsupportedExactError when the combination has
+    no closed form."""
+    _, quantile, _ = _law(spec, n, n_f)
+    return quantile(n, n_f, q)
 
 
 def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
     """Exact null CDF evaluated at x (vectorized) for supported combinations."""
-    if not has_exact_quantile(spec, n, n_f):
-        raise UnsupportedExactError(
-            f"no exact distribution for {spec.method.token} with n={n}, n_f={n_f}"
-        )
-    m = spec.method
-    arr = np.asarray(x, dtype=float)
-    if m is Method.TIPPETT:
-        inside = np.clip(arr, 0.0, 1.0)
-        return 1.0 - (1.0 - inside) ** (n + n_f)
-    if m is Method.WILKINSON:
-        return _wilkinson_cdf(n, n_f, np.clip(arr, 0.0, 1.0))
-    if m is Method.FISHER:
-        return reg_lower_gamma(n, np.maximum(arr, 0.0) / 2.0)
-    if m is Method.CHEN:
-        return reg_lower_gamma(n / 2.0, np.maximum(arr, 0.0) / 2.0)
-    if m is Method.STOUFFER:
-        return normal_cdf(arr)
-    if m is Method.GEOMETRIC_MEAN:
-        inside = np.clip(arr, 1e-300, 1.0)
-        return 1.0 - reg_lower_gamma(n, -n * np.log(inside))
-    return edgington_cdf_genuine(n, np.clip(arr, 0.0, 1.0))
+    _, _, cdf = _law(spec, n, n_f)
+    return cdf(n, n_f, np.asarray(x, dtype=float))

@@ -108,6 +108,8 @@ def _draw(stream: np.random.Generator, shape, scores: bool) -> np.ndarray:
 
 
 def _sample(n: int, n_f: int, N: int, stream: np.random.Generator, scores: bool) -> np.ndarray:
+    if n < 1:
+        raise DomainError("sample size n must be >= 1")
     if not (0 <= n_f <= n):
         raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
     if N < 1:

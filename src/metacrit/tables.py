@@ -40,10 +40,12 @@ __all__ = [
     "write_csv",
     "read_csv",
     "lookup",
+    "resolve_quantiles",
     "render_text",
 ]
 
 _HEADER = "method,n,n_f,q,estimate,stderr,provenance"
+TABLE = "table"  # provenance of a critical value read from a table file
 
 
 class TableLookupError(KeyError):
@@ -126,15 +128,42 @@ def default_grid(n_min: int = 3, n_max: int = 26):
     return pairs
 
 
-def _cell_estimates(spec, n, n_f, N, R, seed, q_list, use_exact):
+def resolve_quantiles(spec: MethodSpec, n: int, n_f: int, q_list, *, use_exact: bool = True,
+                      table: CriticalValueTable | None = None,
+                      sim: tuple | None = None) -> list[QuantileEstimate]:
+    """Critical values of (method, n, n_f) at the increasing levels ``q_list``
+    from the exact law (unless ``use_exact`` is False), else the cells of
+    ``table``, else one simulation with ``sim = (N, R, seed)`` for every
+    level left.  A table miss re-raises its TableLookupError when ``sim`` is
+    None; with no law and no source the call raises UnsupportedExactError."""
     if use_exact and has_exact_quantile(spec, n, n_f):
         return [
             QuantileEstimate(q=q, estimate=exact_quantile(spec, n, n_f, q),
                              stderr=None, replicas=0, provenance=EXACT)
             for q in q_list
         ]
-    cfg = SimConfig(n=n, n_f=n_f, N=N, R=R, seed=seed, q_list=q_list)
-    return simulate_quantiles(spec, cfg)
+    if table is None and sim is None:
+        raise UnsupportedExactError(f"no exact law for {spec.method.token} with n={n}, n_f={n_f}")
+    found = {}
+    if table is not None:
+        for q in q_list:
+            try:
+                cell = lookup(table, spec.method, n, n_f, q)
+            except TableLookupError:
+                if sim is None:
+                    raise
+                continue  # off-grid keys fall through to simulation, never interpolation
+            replicas = table.R if cell.provenance == SIMULATED else 0
+            found[q] = QuantileEstimate(q=q, estimate=cell.estimate, stderr=cell.stderr,
+                                        replicas=replicas, provenance=TABLE)
+    missing = tuple(q for q in q_list if q not in found)
+    if missing:
+        # per-replica order statistics do not depend on the other levels, so
+        # one run gives each level the value a run of its own would
+        N, R, seed = sim
+        cfg = SimConfig(n=n, n_f=n_f, N=N, R=R, seed=seed, q_list=missing)
+        found.update(zip(missing, simulate_quantiles(spec, cfg)))
+    return [found[q] for q in q_list]
 
 
 # numeric and domain failures of one cell; anything else is a bug and propagates
@@ -145,7 +174,8 @@ _CELL_FAILURES = (DomainError, RankError, ConvergenceError, BracketError,
 def _cell_worker(args):
     spec, n, n_f, N, R, seed, q_list, use_exact = args
     try:
-        return n, n_f, _cell_estimates(spec, n, n_f, N, R, seed, q_list, use_exact), None
+        estimates = resolve_quantiles(spec, n, n_f, q_list, use_exact=use_exact, sim=(N, R, seed))
+        return n, n_f, estimates, None
     except _CELL_FAILURES as err:  # reported per cell by the caller
         return n, n_f, None, f"{type(err).__name__}: {err}"
 

@@ -8,6 +8,7 @@ import pytest
 
 import metacrit.cli as cli
 import metacrit.sampling as sampling
+import metacrit.tables as tables
 from metacrit.cli import main
 from metacrit.estimation import simulate_quantiles
 from metacrit.methods import Method, MethodSpec
@@ -151,7 +152,7 @@ class TestCombine:
             calls.append(cfg.q_list)
             return simulate_quantiles(spec, cfg)
 
-        monkeypatch.setattr(cli, "simulate_quantiles", counting)
+        monkeypatch.setattr(tables, "simulate_quantiles", counting)
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
                            "--tail", "both", "--alpha", "0.05", "--p", "0.2,0.7,0.4",
                            "--N", "499", "--R", "4", "--seed", "21", "--json")
@@ -199,7 +200,7 @@ class TestCombine:
             return read_csv(table_path)
 
         monkeypatch.setattr(cli, "read_csv", counting)
-        monkeypatch.setattr(cli, "simulate_quantiles", None)  # any call fails
+        monkeypatch.setattr(tables, "simulate_quantiles", None)  # any call fails
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
                            "--alpha", "0.05", "--p", "0.2,0.7,0.4",
                            "--table", str(path), "--json")
@@ -262,6 +263,16 @@ class TestValidateAndEcdf:
                          "--N", "4999", "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 5000
+
+    @pytest.mark.parametrize("method", ["mg", "chen"])
+    def test_empty_sample_is_usage_error(self, method, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "ecdf",
+                               "--method", method, "--n", "0", "--nf", "0",
+                               "--out", str(tmp_path / "x.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, err = run(capsys, "validate", "--method", "pearson", "--n", "3", "--nf", "0")

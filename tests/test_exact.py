@@ -54,6 +54,21 @@ class TestSupportMatrix:
     def test_wilkinson_nonmax_rank_unsupported(self):
         assert not has_exact_quantile(spec(Method.WILKINSON, k=1), 5, 0)
 
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
+    def test_law_table_agrees_with_itself(self, method):
+        # the support predicate, the quantile and the CDF come from one entry
+        s = spec(method)
+        for n in range(1, 27):
+            for n_f in range(n + 1):
+                if has_exact_quantile(s, n, n_f):
+                    assert math.isfinite(exact_quantile(s, n, n_f, 0.5))
+                    assert 0.0 <= exact_cdf(s, n, n_f, 0.5) <= 1.0
+                    continue
+                with pytest.raises(UnsupportedExactError):
+                    exact_quantile(s, n, n_f, 0.5)
+                with pytest.raises(UnsupportedExactError):
+                    exact_cdf(s, n, n_f, 0.5)
+
     def test_dispatch_raises_when_unsupported(self):
         with pytest.raises(UnsupportedExactError):
             exact_quantile(spec(Method.FISHER), 3, 1, 0.95)

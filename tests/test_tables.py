@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import metacrit.tables as tables
-from metacrit.exact import exact_quantile
+from metacrit.estimation import simulate_quantiles
+from metacrit.exact import UnsupportedExactError, exact_quantile
 from metacrit.methods import Method, MethodSpec
+from metacrit.sampling import SimConfig
 from metacrit.special import DomainError
 from metacrit.tables import (
     CriticalValueTable,
@@ -18,6 +20,7 @@ from metacrit.tables import (
     lookup,
     read_csv,
     render_text,
+    resolve_quantiles,
     write_csv,
 )
 
@@ -223,6 +226,48 @@ class TestLookup:
         table.add(cell)
         with pytest.raises(DomainError):
             table.add(cell)
+
+
+class TestResolveQuantiles:
+    FISHER = MethodSpec(Method.FISHER)
+    SIM = (99, 2, 5)  # (N, R, seed)
+
+    @staticmethod
+    def make_table():
+        table = CriticalValueTable(R=3)
+        # a decoy where the exact law applies, and one cell with a fake
+        table.add(TableCell(Method.FISHER, 3, 0, 0.95, 99.0, None, "exact"))
+        table.add(TableCell(Method.FISHER, 3, 1, 0.95, 14.0, 0.1, "simulated"))
+        return table
+
+    @pytest.mark.parametrize("n_f, q_list, with_table, with_sim, expected", [
+        (0, (0.95,), True, True, ("exact",)),
+        (1, (0.95,), True, True, ("table",)),
+        (1, (0.95, 0.97), True, True, ("table", "simulated")),
+        (1, (0.95, 0.97), True, False, TableLookupError),
+        (1, (0.95,), False, False, UnsupportedExactError),
+    ], ids=["exact-beats-table", "table-beats-simulation", "off-grid-level-simulates",
+            "miss-without-sim-raises", "no-source-raises"])
+    def test_source_order(self, n_f, q_list, with_table, with_sim, expected):
+        table = self.make_table() if with_table else None
+        sim = self.SIM if with_sim else None
+        if not isinstance(expected, tuple):
+            with pytest.raises(expected):
+                resolve_quantiles(self.FISHER, 3, n_f, q_list, table=table, sim=sim)
+            return
+        got = resolve_quantiles(self.FISHER, 3, n_f, q_list, table=table, sim=sim)
+        assert [est.q for est in got] == list(q_list)
+        assert tuple(est.provenance for est in got) == expected
+        for est in got:
+            if est.provenance == "exact":
+                assert est.estimate == exact_quantile(self.FISHER, 3, n_f, est.q)
+                assert est.stderr is None
+            elif est.provenance == "table":
+                assert (est.estimate, est.stderr, est.replicas) == (14.0, 0.1, 3)
+            else:
+                N, R, seed = self.SIM
+                cfg = SimConfig(n=3, n_f=n_f, N=N, R=R, seed=seed, q_list=(est.q,))
+                assert est == simulate_quantiles(self.FISHER, cfg)[0]
 
 
 class TestGenerationFailures:
