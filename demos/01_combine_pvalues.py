@@ -30,7 +30,7 @@ def decide(spec, p, n_f):
     else:
         qs = (ALPHA / 2, 1 - ALPHA / 2)
     # both levels of a two-sided test come from one call, so one simulation
-    crit = resolve_quantiles(spec, n, n_f, qs, sim=SIM)
+    [crit] = resolve_quantiles(spec, [(n, n_f)], qs, sim=SIM)
     bounds, reject = [], False
     if spec.tail is not Tail.UPPER:
         bounds.append(f"T <= {crit[0].estimate:.4g}")

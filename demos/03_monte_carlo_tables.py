@@ -32,7 +32,7 @@ def main():
     cfg = SimConfig(n=3, n_f=1, N=4999, R=50, seed=20240101, q_list=(0.95,))
 
     print("single replicas (Fisher statistic, n=3 with one fake, q = 0.95):")
-    first = [run_replica(spec, cfg, r)[0] for r in range(cfg.R)]
+    first = [run_replica(spec, [cfg], r)[0][0] for r in range(cfg.R)]
     print("  first five replica estimates:", [f"{v:.4f}" for v in first[:5]])
 
     est = aggregate(first, 0.95)

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 
 from .diagnostics import ecdf, ks_critical_value, ks_distance, write_ecdf_csv
 from .estimation import SIMULATED, QuantileEstimate
@@ -110,11 +111,8 @@ def _parse_pvalues(args) -> list:
     if args.p is not None:
         tokens = [tok for tok in args.p.split(",") if tok.strip()]
     elif args.p_file is not None:
-        try:
-            with open(args.p_file) as f:
-                tokens = [ln.strip() for ln in f if ln.strip()]
-        except OSError as err:
-            raise CliError(f"cannot read {args.p_file}: {err}", EXIT_USAGE)
+        lines = _read_file(args.p_file, lambda path: Path(path).read_text().splitlines())
+        tokens = [ln.strip() for ln in lines if ln.strip()]
     else:
         raise CliError("p-values required: --p or --p-file", EXIT_USAGE)
     try:
@@ -122,6 +120,14 @@ def _parse_pvalues(args) -> list:
     except ValueError:
         raise CliError("p-values must be numeric", EXIT_USAGE)
     return values
+
+
+def _read_file(path, parse):
+    # an input file named on the command line that cannot be read is a usage error
+    try:
+        return parse(path)
+    except OSError as err:
+        raise CliError(f"cannot read {path}: {err}", EXIT_USAGE)
 
 
 def _fmt_critical(est: QuantileEstimate) -> str:
@@ -159,11 +165,11 @@ def _cmd_critical(args) -> int:
     if args.exact + (args.table is not None) + args.simulate != 1:
         raise CliError("choose exactly one of --exact, --table PATH, --simulate", EXIT_USAGE)
 
-    table = read_csv(args.table) if args.table is not None else None
+    table = _read_file(args.table, read_csv) if args.table is not None else None
     sim = (args.N, args.R, args.seed) if args.simulate else None
     try:
-        est = resolve_quantiles(spec, args.n, args.nf, (args.q,), use_exact=args.exact,
-                                table=table, sim=sim)[0]
+        [[est]] = resolve_quantiles(spec, [(args.n, args.nf)], (args.q,), use_exact=args.exact,
+                                    table=table, sim=sim)
     except UnsupportedExactError:  # only --exact can miss this way
         print(
             f"no exact law for {spec.method.token} with n={args.n}, n_f={args.nf}; "
@@ -197,12 +203,10 @@ def _cmd_combine(args) -> int:
         qs = (1.0 - args.alpha,)
     else:
         qs = (args.alpha / 2.0, 1.0 - args.alpha / 2.0)
-    # the table file is read only when no exact law answers
-    table = None
-    if args.table and not has_exact_quantile(spec, n, args.nf):
-        table = read_csv(args.table)
+    needs_table = args.table and not has_exact_quantile(spec, n, args.nf)
+    table = _read_file(args.table, read_csv) if needs_table else None
     sim = (args.N, args.R, args.seed)
-    criticals = resolve_quantiles(spec, n, args.nf, qs, table=table, sim=sim)
+    [criticals] = resolve_quantiles(spec, [(n, args.nf)], qs, table=table, sim=sim)
     reject = ((spec.tail is not Tail.UPPER and statistic <= criticals[0].estimate)
               or (spec.tail is not Tail.LOWER and statistic >= criticals[-1].estimate))
 

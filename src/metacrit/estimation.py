@@ -1,10 +1,10 @@
 """Monte Carlo quantile estimation pipeline.
 
-Per replica: draw N statistic values, sort them and read off the
-order-statistic plug-in estimate t_{floor(q(N+1)):N} for every requested
-level q.  Across replicas: average the R per-replica estimates and attach
-the standard error sqrt(sum (t_i - mean)^2 / (R(R-1))), from which a normal
-confidence interval follows.
+Per replica: draw N statistic values per cell from one draw of the stream,
+sort them and read off the order-statistic plug-in estimate
+t_{floor(q(N+1)):N} at every level q.  Across replicas: average the R
+estimates and attach the standard error sqrt(sum (t_i - mean)^2 / (R(R-1))),
+from which a normal confidence interval follows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import MethodSpec
-from .sampling import SimConfig, replica_stream, sample_statistic
+from .sampling import SimConfig, replica_stream, sample_cells
 from .special import DomainError, normal_inv_cdf
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "order_stat_quantile",
     "run_replica",
     "aggregate",
+    "simulate_cells",
     "simulate_quantiles",
     "confidence_interval",
 ]
@@ -69,14 +70,17 @@ def order_stat_quantile(sorted_sample, q: float) -> float:
     return float(arr[quantile_index(arr.size, q) - 1])
 
 
-def run_replica(spec: MethodSpec, cfg: SimConfig, replica_index: int) -> np.ndarray:
-    """One replica's quantile estimates, one per level in cfg.q_list."""
-    if not (0 <= replica_index < cfg.R):
+def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list[np.ndarray]:
+    """One replica's quantile estimates for each cell of ``cfgs`` (which share
+    N, R and seed), one per level of its q_list.  Each cell's statistics are
+    reduced to its order statistics before the next cell's are made."""
+    first = cfgs[0]
+    if not (0 <= replica_index < first.R):
         raise DomainError("replica index outside 0..R-1")
-    stream = replica_stream(cfg.seed, replica_index)
-    stats = np.sort(sample_statistic(spec, cfg.n, cfg.n_f, cfg.N, stream))
-    idx = np.array([quantile_index(cfg.N, q) - 1 for q in cfg.q_list])
-    return stats[idx]
+    stream = replica_stream(first.seed, replica_index)
+    draws = sample_cells(spec, [(cfg.n, cfg.n_f) for cfg in cfgs], first.N, stream)
+    return [np.sort(stats)[[quantile_index(first.N, q) - 1 for q in cfg.q_list]]
+            for cfg, stats in zip(cfgs, draws)]
 
 
 def aggregate(replica_values, q: float) -> QuantileEstimate:
@@ -95,13 +99,21 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
     return QuantileEstimate(q=q, estimate=mean, stderr=stderr, replicas=R)
 
 
+def simulate_cells(spec: MethodSpec, cfgs) -> list[list[QuantileEstimate]]:
+    """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
+    replicas, each drawing its stream once for all cells, aggregated per level."""
+    if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
+        raise DomainError("cells simulated together must share N, R and seed")
+    replicas = [run_replica(spec, cfgs, r) for r in range(cfgs[0].R)]
+    # zip(*replicas) regroups by cell: an (R, levels) array for each
+    return [[aggregate(rows[:, j], q) for j, q in enumerate(cfg.q_list)]
+            for cfg, rows in zip(cfgs, map(np.array, zip(*replicas)))]
+
+
 def simulate_quantiles(spec: MethodSpec, cfg: SimConfig) -> list[QuantileEstimate]:
     """Full pipeline for one (method, n, n_f) cell: R independent replicas,
     aggregated per quantile level."""
-    rows = np.empty((cfg.R, len(cfg.q_list)))
-    for r in range(cfg.R):
-        rows[r] = run_replica(spec, cfg, r)
-    return [aggregate(rows[:, j], q) for j, q in enumerate(cfg.q_list)]
+    return simulate_cells(spec, [cfg])[0]
 
 
 def confidence_interval(est: QuantileEstimate, alpha: float) -> tuple[float, float]:

@@ -12,7 +12,9 @@ layout: a genuine score is standard normal, a fake one the smaller of two.
 Randomness comes from counter-based Philox streams keyed by
 (seed, replica_index) through numpy's SeedSequence hash, so every replica's
 sequence is a pure function of those two integers no matter how work is
-scheduled across processes.
+scheduled across processes.  Cell (n, n_f) reads the first N(n + n_f) values,
+so a table draws each replica's stream once and every cell reads its own
+prefix: the values a stream of its own would give.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "SimConfig",
     "replica_stream",
     "sample_pmatrix",
+    "sample_cells",
     "sample_statistic",
 ]
 
@@ -86,41 +89,36 @@ def replica_stream(seed: int, replica_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(replica_index)))))
 
 
-def _draw(stream: np.random.Generator, shape, scores: bool) -> np.ndarray:
-    """Base draws of one block: standard normal scores, or uniforms strictly
-    inside (0, 1)."""
+def _draw(stream: np.random.Generator, size: int, scores: bool) -> np.ndarray:
+    """``size`` base draws in stream order: standard normal scores, or
+    uniforms strictly inside (0, 1)."""
     try:
-        x = stream.standard_normal(shape) if scores else stream.random(shape)
+        x = stream.standard_normal(size) if scores else stream.random(size)
     except (MemoryError, ValueError) as err:
         # numpy refuses an impossible size with "array is too big" before
         # allocating anything; both mean the request cannot be met
-        dims = " x ".join(map(str, shape))
-        raise MemoryError(f"cannot allocate {dims} draws: {err}") from err
-    if scores:
-        return x
-    # numpy's random() lives in [0, 1); an exact 0.0 is a probability-zero
-    # event that would break the log-based statistics, so redraw it.
-    while True:
-        bad = (x <= 0.0) | (x >= 1.0)
-        if not bad.any():
-            return x
-        x[bad] = stream.random(int(bad.sum()))
+        raise MemoryError(f"cannot allocate {size} draws: {err}") from err
+    # random() is k * 2**-53: a 0.0 would break the log statistics, so it takes
+    # 2**-54, the middle of the [0, 2**-53) it stands for (a redraw shifts the stream)
+    if not (scores or x.min() > 0.0):
+        x[x == 0.0] = 2.0 ** -54
+    return x
 
 
-def _sample(n: int, n_f: int, N: int, stream: np.random.Generator, scores: bool) -> np.ndarray:
-    if n < 1:
-        raise DomainError("sample size n must be >= 1")
-    if not (0 <= n_f <= n):
-        raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    parts = []
-    if n_f:
-        pairs = _draw(stream, (N, n_f, 2), scores)
-        parts.append(np.minimum(pairs[..., 0], pairs[..., 1]))
-    if n - n_f:
-        parts.append(_draw(stream, (N, n - n_f), scores))
-    return np.concatenate(parts, axis=1)
+def _prefix(cells, N: int, stream: np.random.Generator, scores: bool) -> np.ndarray:
+    """Check the (n, n_f) cells and draw the longest stream prefix they read."""
+    for n, n_f in cells:
+        if N < 1 or n < 1 or not (0 <= n_f <= n):
+            raise DomainError(f"need N, n >= 1 and 0 <= n_f <= n; got N={N}, n={n}, n_f={n_f}")
+    return _draw(stream, N * max(n + n_f for n, n_f in cells), scores)
+
+
+def _matrix(base: np.ndarray, n: int, n_f: int, N: int, rows=slice(None)) -> np.ndarray:
+    """The ``rows`` of cell (n, n_f)'s (N, n) matrix from a stream prefix: the
+    fakes' (N, n_f, 2) pairs reduced pairwise, then the genuine (N, n - n_f)."""
+    pairs = base[:2 * N * n_f].reshape(N, n_f, 2)[rows]
+    genuine = base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f)[rows]
+    return np.concatenate([np.minimum(pairs[..., 0], pairs[..., 1]), genuine], axis=1)
 
 
 def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
@@ -130,15 +128,25 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.
     Every statistic downstream is permutation invariant, so the placement
     is only a convention.
     """
-    return _sample(n, n_f, N, stream, scores=False)
+    return _matrix(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N)
+
+
+def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
+    """Yield N values of the statistic for each (n, n_f) of ``cells`` in turn,
+    all read from one draw of the stream.  Stouffer and Chen get their normal
+    scores drawn directly in the ``sample_pmatrix`` layout: no probit runs."""
+    score = SCORE_STATISTICS.get(spec.method)
+    base = _prefix(cells, N, stream, scores=score is not None)
+    statistic = score or (lambda pmatrix: evaluate_batch(spec, pmatrix))
+    for n, n_f in cells:
+        # blocks of <= 64Ki p-values: the allocator reuses their temporaries
+        # (larger ones are handed back and refaulted) and they stay in cache
+        step = max(1, 65536 // n)
+        yield np.concatenate([statistic(_matrix(base, n, n_f, N, slice(a, a + step)))
+                              for a in range(0, N, step)])
 
 
 def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int,
                      stream: np.random.Generator) -> np.ndarray:
-    """N simulated values of the statistic for n p-values, n_f of them fake.
-    Score statistics (Stouffer, Chen) get their scores drawn directly in the
-    ``sample_pmatrix`` layout, so no probit runs."""
-    score = SCORE_STATISTICS.get(spec.method)
-    if score is None:
-        return evaluate_batch(spec, sample_pmatrix(n, n_f, N, stream))
-    return score(_sample(n, n_f, N, stream, scores=True))
+    """N simulated values of the statistic for n p-values, n_f of them fake."""
+    return next(sample_cells(spec, [(n, n_f)], N, stream))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_quantiles
+from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
 from .methods import Method, MethodSpec, RankError, parse_method
 from .sampling import (
@@ -128,56 +128,58 @@ def default_grid(n_min: int = 3, n_max: int = 26):
     return pairs
 
 
-def resolve_quantiles(spec: MethodSpec, n: int, n_f: int, q_list, *, use_exact: bool = True,
+def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True,
                       table: CriticalValueTable | None = None,
-                      sim: tuple | None = None) -> list[QuantileEstimate]:
-    """Critical values of (method, n, n_f) at the increasing levels ``q_list``
-    from the exact law (unless ``use_exact`` is False), else the cells of
-    ``table``, else one simulation with ``sim = (N, R, seed)`` for every
-    level left.  A table miss re-raises its TableLookupError when ``sim`` is
-    None; with no law and no source the call raises UnsupportedExactError."""
-    if use_exact and has_exact_quantile(spec, n, n_f):
-        return [
-            QuantileEstimate(q=q, estimate=exact_quantile(spec, n, n_f, q),
-                             stderr=None, replicas=0, provenance=EXACT)
-            for q in q_list
-        ]
-    if table is None and sim is None:
-        raise UnsupportedExactError(f"no exact law for {spec.method.token} with n={n}, n_f={n_f}")
-    found = {}
-    if table is not None:
-        for q in q_list:
-            try:
-                cell = lookup(table, spec.method, n, n_f, q)
-            except TableLookupError:
-                if sim is None:
-                    raise
-                continue  # off-grid keys fall through to simulation, never interpolation
-            replicas = table.R if cell.provenance == SIMULATED else 0
-            found[q] = QuantileEstimate(q=q, estimate=cell.estimate, stderr=cell.stderr,
-                                        replicas=replicas, provenance=TABLE)
-    missing = tuple(q for q in q_list if q not in found)
-    if missing:
-        # per-replica order statistics do not depend on the other levels, so
-        # one run gives each level the value a run of its own would
-        N, R, seed = sim
-        cfg = SimConfig(n=n, n_f=n_f, N=N, R=R, seed=seed, q_list=missing)
-        found.update(zip(missing, simulate_quantiles(spec, cfg)))
-    return [found[q] for q in q_list]
+                      sim: tuple | None = None) -> list[list[QuantileEstimate]]:
+    """Critical values at the increasing levels ``q_list`` for each (n, n_f) of
+    ``cells``: from the exact law (unless ``use_exact`` is False), else the
+    cells of ``table``, else one simulation with ``sim = (N, R, seed)`` of every
+    level left in every cell.  A table miss re-raises its TableLookupError when
+    ``sim`` is None; with no law and no source this raises UnsupportedExactError."""
+    if sim is not None:  # reject a bad N, R or seed before any source is consulted
+        SimConfig(1, 0, *sim)
+    found = [{} for _ in cells]
+    for (n, n_f), got in zip(cells, found):
+        if use_exact and has_exact_quantile(spec, n, n_f):
+            got.update((q, QuantileEstimate(q=q, estimate=exact_quantile(spec, n, n_f, q),
+                                            stderr=None, replicas=0, provenance=EXACT))
+                       for q in q_list)
+        elif table is None and sim is None:
+            raise UnsupportedExactError(
+                f"no exact law for {spec.method.token} with n={n}, n_f={n_f}")
+        elif table is not None:
+            for q in q_list:
+                try:
+                    cell = lookup(table, spec.method, n, n_f, q)
+                except TableLookupError:
+                    if sim is None:
+                        raise
+                    continue  # off-grid keys fall through to simulation, never interpolation
+                replicas = table.R if cell.provenance == SIMULATED else 0
+                got[q] = QuantileEstimate(q=q, estimate=cell.estimate, stderr=cell.stderr,
+                                          replicas=replicas, provenance=TABLE)
+    # per-replica order statistics do not depend on the other levels or
+    # cells, so one run gives each level the value a run of its own would
+    todo = [(got, SimConfig(n, n_f, *sim, q_list=tuple(q for q in q_list if q not in got)))
+            for (n, n_f), got in zip(cells, found) if any(q not in got for q in q_list)]
+    if todo:
+        simulated = simulate_cells(spec, [cfg for _, cfg in todo])
+        for (got, cfg), estimates in zip(todo, simulated):
+            got.update(zip(cfg.q_list, estimates))
+    return [[got[q] for q in q_list] for got in found]
 
 
-# numeric and domain failures of one cell; anything else is a bug and propagates
+# numeric and domain failures of a job; anything else is a bug and propagates
 _CELL_FAILURES = (DomainError, RankError, ConvergenceError, BracketError,
                   UnsupportedExactError, ArithmeticError, MemoryError)
 
 
-def _cell_worker(args):
-    spec, n, n_f, N, R, seed, q_list, use_exact = args
+def _cells_worker(args):
+    spec, cells, q_list, use_exact, sim = args
     try:
-        estimates = resolve_quantiles(spec, n, n_f, q_list, use_exact=use_exact, sim=(N, R, seed))
-        return n, n_f, estimates, None
-    except _CELL_FAILURES as err:  # reported per cell by the caller
-        return n, n_f, None, f"{type(err).__name__}: {err}"
+        return cells, resolve_quantiles(spec, cells, q_list, use_exact=use_exact, sim=sim), None
+    except _CELL_FAILURES as err:  # reported for every cell of the job by the caller
+        return cells, None, f"{type(err).__name__}: {err}"
 
 
 def generate_table(
@@ -194,41 +196,35 @@ def generate_table(
     """Build the full critical-value grid for one method.
 
     Exact cells are used wherever available (unless ``use_exact`` is False);
-    everything else runs the full simulation pipeline.  The result is a pure
-    function of the arguments: replica substreams are keyed by (seed,
-    replica), so the worker count only affects wall time.
+    everything else runs one simulation per job.  The result is a pure
+    function of the arguments: every cell reads its own prefix of the
+    replica streams keyed by (seed, replica), so the worker count only
+    affects wall time.
     """
     grid = default_grid(n_min, n_max)
     # validate N, R, seed and the q grid once, before fanning out cells
     SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
-    jobs = [(spec, n, n_f, N, R, seed, tuple(q_list), use_exact) for n, n_f in grid]
-
-    # more processes than jobs or cores only adds fork and import cost
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    # more processes than cells or cores only adds fork and import cost; each
+    # job is an interleaved group of cells, so jobs get like shares of work
+    workers = max(1, min(workers, len(grid), os.cpu_count() or 1))
+    jobs = [(spec, grid[i::workers], tuple(q_list), use_exact, (N, R, seed))
+            for i in range(workers)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, jobs))
+            results = list(pool.map(_cells_worker, jobs))
     else:
-        results = [_cell_worker(job) for job in jobs]
+        results = [_cells_worker(job) for job in jobs]
 
-    failures = [(n, n_f, msg) for n, n_f, _, msg in results if msg is not None]
+    failures = [(n, n_f, msg) for cells, _, msg in results if msg for n, n_f in cells]
     if failures:
         raise TableGenerationError(failures)
 
     table = CriticalValueTable(seed=seed, N=N, R=R)
-    for n, n_f, estimates, _ in results:
-        for est in estimates:
-            table.add(
-                TableCell(
-                    method=spec.method,
-                    n=n,
-                    n_f=n_f,
-                    q=est.q,
-                    estimate=_canonical(est.estimate),
-                    stderr=_canonical(est.stderr),
-                    provenance=est.provenance,
-                )
-            )
+    for cells, per_cell, _ in results:
+        for (n, n_f), estimates in zip(cells, per_cell):
+            for est in estimates:
+                table.add(TableCell(spec.method, n, n_f, est.q, _canonical(est.estimate),
+                                    _canonical(est.stderr), est.provenance))
     return table
 
 

@@ -10,7 +10,7 @@ import metacrit.cli as cli
 import metacrit.sampling as sampling
 import metacrit.tables as tables
 from metacrit.cli import main
-from metacrit.estimation import simulate_quantiles
+from metacrit.estimation import simulate_cells, simulate_quantiles
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import SimConfig
 from metacrit.tables import read_csv
@@ -148,11 +148,11 @@ class TestCombine:
     def test_tail_both_simulates_once(self, capsys, monkeypatch):
         calls = []
 
-        def counting(spec, cfg):
-            calls.append(cfg.q_list)
-            return simulate_quantiles(spec, cfg)
+        def counting(spec, cfgs):
+            calls.extend(cfg.q_list for cfg in cfgs)
+            return simulate_cells(spec, cfgs)
 
-        monkeypatch.setattr(tables, "simulate_quantiles", counting)
+        monkeypatch.setattr(tables, "simulate_cells", counting)
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
                            "--tail", "both", "--alpha", "0.05", "--p", "0.2,0.7,0.4",
                            "--N", "499", "--R", "4", "--seed", "21", "--json")
@@ -200,7 +200,7 @@ class TestCombine:
             return read_csv(table_path)
 
         monkeypatch.setattr(cli, "read_csv", counting)
-        monkeypatch.setattr(tables, "simulate_quantiles", None)  # any call fails
+        monkeypatch.setattr(tables, "simulate_cells", None)  # any call fails
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
                            "--alpha", "0.05", "--p", "0.2,0.7,0.4",
                            "--table", str(path), "--json")
@@ -243,6 +243,36 @@ class TestCombine:
         code, _, _ = run(capsys, "combine", "--method", "fisher", "--nf", "4",
                          "--alpha", "0.05", "--p", "0.5,0.5")
         assert code == 2
+
+
+class TestSourceUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("combine", "--method", "mg", "--nf", "1", "--alpha", "0.05", "--p", "0.1,0.2,0.3"),
+        ("critical", "--method", "mg", "--n", "3", "--nf", "1", "--q", "0.95"),
+    ], ids=lambda a: a[0])
+    def test_missing_table_file_is_usage_error(self, argv, tmp_path):
+        # like a missing --p-file: the command line names a file that is not there
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *argv,
+                               "--table", str(tmp_path / "absent.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--N", "--R"])
+    def test_bad_sim_size_rejected_on_table_hit(self, flag, tmp_path, capsys):
+        path = tmp_path / "mg.csv"
+        assert main(["gen-table", "--method", "mg", "--n-min", "3", "--n-max", "3",
+                     "--N", "99", "--R", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ("combine", "--method", "mg", "--nf", "1", "--alpha", "0.05",
+                "--p", "0.2,0.7,0.4", "--table", str(path), "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["criticals"][0]["source"] == "table"
+        code, _, err = run(capsys, *argv, flag, "0")
+        assert code == 2
+        assert "error:" in err
 
 
 class TestValidateAndEcdf:

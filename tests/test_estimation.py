@@ -11,6 +11,7 @@ from metacrit.estimation import (
     order_stat_quantile,
     quantile_index,
     run_replica,
+    simulate_cells,
     simulate_quantiles,
 )
 from metacrit.methods import Method, MethodSpec
@@ -106,7 +107,7 @@ class TestRunReplica:
     def test_degenerate_single_draw(self):
         spec = MethodSpec(Method.TIPPETT)
         cfg = SimConfig(n=1, n_f=0, N=1, R=1, seed=99, q_list=(0.5,))
-        vals = run_replica(spec, cfg, 0)
+        [vals] = run_replica(spec, [cfg], 0)
         expected = replica_stream(99, 0).random(1)[0]
         assert vals[0] == expected
 
@@ -114,24 +115,24 @@ class TestRunReplica:
         # mean of two uniforms has median 1/2
         spec = MethodSpec(Method.EDGINGTON)
         cfg = SimConfig(n=2, n_f=0, N=4999, R=1, seed=11, q_list=(0.5,))
-        assert run_replica(spec, cfg, 0)[0] == pytest.approx(0.5, abs=0.02)
+        assert run_replica(spec, [cfg], 0)[0][0] == pytest.approx(0.5, abs=0.02)
 
     def test_fisher_upper_quantile(self):
         spec = MethodSpec(Method.FISHER)
         cfg = SimConfig(n=3, n_f=0, N=4999, R=1, seed=123, q_list=(0.95,))
-        assert run_replica(spec, cfg, 0)[0] == pytest.approx(12.59, abs=0.35)
+        assert run_replica(spec, [cfg], 0)[0][0] == pytest.approx(12.59, abs=0.35)
 
     def test_estimates_nondecreasing_in_q(self):
         spec = MethodSpec(Method.FISHER)
         cfg = SimConfig(n=5, n_f=2, N=999, R=1, seed=7)
-        vals = run_replica(spec, cfg, 0)
+        [vals] = run_replica(spec, [cfg], 0)
         assert np.all(np.diff(vals) >= 0)
 
     def test_replica_index_bounds(self):
         spec = MethodSpec(Method.FISHER)
         cfg = SimConfig(n=3, n_f=0, N=10, R=2, seed=1)
         with pytest.raises(DomainError):
-            run_replica(spec, cfg, 2)
+            run_replica(spec, [cfg], 2)
 
 
 class TestSimulateQuantiles:
@@ -144,6 +145,15 @@ class TestSimulateQuantiles:
         for est in estimates:
             exact = tippett_quantile(4, 1, est.q)
             assert abs(est.estimate - exact) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("other", [dict(N=501), dict(R=3), dict(seed=7)])
+    def test_cells_must_share_one_stream(self, other):
+        # cells read prefixes of the same replica streams, so N, R and seed agree
+        spec = MethodSpec(Method.WILSON_HARMONIC)
+        base = dict(N=500, R=4, seed=2024)
+        cfgs = [SimConfig(n=3, n_f=1, **base), SimConfig(n=4, n_f=0, **{**base, **other})]
+        with pytest.raises(DomainError, match="share"):
+            simulate_cells(spec, cfgs)
 
     def test_deterministic(self):
         spec = MethodSpec(Method.WILSON_HARMONIC)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from metacrit.methods import Method, MethodSpec
+import metacrit.sampling as sampling
+from metacrit.methods import SCORE_STATISTICS, Method, MethodSpec, evaluate_batch
 from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix, sample_statistic
 from metacrit.special import DomainError
 
@@ -45,6 +46,18 @@ class TestFake:
         draws = sample_pmatrix(1, 1, 1_000_000, stream).ravel()
         assert (draws <= 0.5).mean() == pytest.approx(0.75, abs=0.0015)
         assert (draws <= 0.1).mean() == pytest.approx(0.19, abs=0.0013)
+
+
+class TestZeroDraw:
+    def test_zero_becomes_half_ulp_in_place(self):
+        # numpy's random() can return an exact 0.0; it is replaced where it
+        # stands, so no later value of the stream moves
+        class ZeroStream:
+            def random(self, size):
+                return np.array([0.0, 0.25, 0.0, 0.75])[:size]
+
+        drawn = sampling._draw(ZeroStream(), 4, scores=False)
+        assert drawn.tolist() == [2.0 ** -54, 0.25, 2.0 ** -54, 0.75]
 
 
 class TestFakeScores:
@@ -116,6 +129,22 @@ class TestStreams:
         for method, want in expected.items():
             drawn = sample_statistic(MethodSpec(method), n, n_f, N, replica_stream(17, 3))
             assert np.array_equal(drawn, want)
+
+    @pytest.mark.parametrize("method", [Method.MUDHOLKAR_GEORGE, Method.CHEN])
+    def test_row_blocks_equal_whole_matrix(self, method):
+        # (26, 8) at N = 4999 is evaluated in row blocks; the statistic of
+        # the whole matrix at once must agree float for float
+        n, n_f, N = 26, 8, 4999
+        spec = MethodSpec(method)
+        drawn = sample_statistic(spec, n, n_f, N, replica_stream(17, 3))
+        twin = replica_stream(17, 3)
+        if method in SCORE_STATISTICS:
+            fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
+            z = np.concatenate([fakes, twin.standard_normal((N, n - n_f))], axis=1)
+            whole = SCORE_STATISTICS[method](z)
+        else:
+            whole = evaluate_batch(spec, sample_pmatrix(n, n_f, N, twin))
+        assert np.array_equal(drawn, whole)
 
     def test_rejects_negative_keys(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,14 @@
 """Grid layout, table generation, CSV round-trips, and lookup behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import metacrit.tables as tables
-from metacrit.estimation import simulate_quantiles
+from metacrit.estimation import simulate_cells, simulate_quantiles
 from metacrit.exact import UnsupportedExactError, exact_quantile
-from metacrit.methods import Method, MethodSpec
+from metacrit.methods import Method, MethodSpec, parse_method
 from metacrit.sampling import SimConfig
 from metacrit.special import DomainError
 from metacrit.tables import (
@@ -253,9 +255,9 @@ class TestResolveQuantiles:
         sim = self.SIM if with_sim else None
         if not isinstance(expected, tuple):
             with pytest.raises(expected):
-                resolve_quantiles(self.FISHER, 3, n_f, q_list, table=table, sim=sim)
+                resolve_quantiles(self.FISHER, [(3, n_f)], q_list, table=table, sim=sim)
             return
-        got = resolve_quantiles(self.FISHER, 3, n_f, q_list, table=table, sim=sim)
+        [got] = resolve_quantiles(self.FISHER, [(3, n_f)], q_list, table=table, sim=sim)
         assert [est.q for est in got] == list(q_list)
         assert tuple(est.provenance for est in got) == expected
         for est in got:
@@ -270,21 +272,63 @@ class TestResolveQuantiles:
                 assert est == simulate_quantiles(self.FISHER, cfg)[0]
 
 
+class TestSharedDraws:
+    # a table draws each replica's stream once; every cell reads its own prefix
+    SIM = dict(N=199, R=3, seed=29)
+    METHODS = [("mg", True), ("chen", True), ("harmonic", True), ("wilkinson", False)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("token, use_exact", METHODS, ids=[m for m, _ in METHODS])
+    def test_table_cell_equals_cell_alone(self, token, use_exact, workers):
+        spec = MethodSpec(parse_method(token))
+        table = generate_table(spec, n_min=3, n_max=9, use_exact=use_exact, workers=workers,
+                               **self.SIM)
+        simulated = {(n, n_f) for (_, n, n_f, _), cell in table.cells.items()
+                     if cell.provenance == "simulated"}
+        assert len(simulated) >= 21  # all 28 cells but chen's exact n_f = 0
+        for n, n_f in simulated:
+            for est in simulate_quantiles(spec, SimConfig(n=n, n_f=n_f, **self.SIM)):
+                cell = table.cells[(spec.method, n, n_f, est.q)]
+                assert cell.estimate == float(f"{est.estimate:.6g}")
+                assert cell.stderr == float(f"{est.stderr:.6g}")
+
+    @pytest.mark.parametrize("token", [m for m, _ in METHODS])
+    def test_shared_simulation_equals_cell_alone(self, token):
+        # largest cell first, so no cell's prefix ends the shared draw
+        spec = MethodSpec(parse_method(token))
+        cfgs = [SimConfig(n=n, n_f=n_f, **self.SIM) for n, n_f in default_grid(3, 9)[::-1]]
+        for cfg, estimates in zip(cfgs, simulate_cells(spec, cfgs)):
+            assert estimates == simulate_quantiles(spec, cfg)
+
+    @pytest.mark.parametrize("token, digest", [
+        ("mg", "aa78f79a6780711622590fa40adc94e9ed5ef08733666741788bc604ff1d2384"),
+        ("chen", "2cb37dc1e7f828b7bb24064c899276cc8e6c8de255e5a721b22eeac73a3df9f1"),
+    ])
+    def test_streams_pinned(self, token, digest, tmp_path):
+        # data rows only: the metadata lines name package and numpy versions
+        path = tmp_path / f"{token}.csv"
+        write_csv(generate_table(MethodSpec(parse_method(token)), n_min=3, n_max=5,
+                                 N=199, R=3, seed=11), path)
+        rows = b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                        if not ln.startswith(b"#"))
+        assert hashlib.sha256(rows).hexdigest() == digest
+
+
 class TestGenerationFailures:
     def test_failed_cell_is_reported(self, monkeypatch):
-        def boom(spec, cfg):
+        def boom(spec, cfgs):
             raise ArithmeticError("synthetic cell failure")
 
-        monkeypatch.setattr(tables, "simulate_quantiles", boom)
+        monkeypatch.setattr(tables, "simulate_cells", boom)
         with pytest.raises(TableGenerationError, match="n=3, n_f=1"):
             generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
                            N=50, R=2, seed=1)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(spec, cfg):
+        def broken(spec, cfgs):
             raise TypeError("synthetic bug")
 
-        monkeypatch.setattr(tables, "simulate_quantiles", broken)
+        monkeypatch.setattr(tables, "simulate_cells", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
             generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
                            N=50, R=2, seed=1)
