@@ -12,7 +12,6 @@ from .estimation import (  # noqa: F401
     QuantileEstimate,
     aggregate,
     confidence_interval,
-    order_stat_quantile,
     quantile_index,
     run_replica,
     simulate_quantiles,

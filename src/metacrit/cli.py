@@ -126,7 +126,7 @@ def _read_file(path, parse):
     # an input file named on the command line that cannot be read is a usage error
     try:
         return parse(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(f"cannot read {path}: {err}", EXIT_USAGE)
 
 
@@ -344,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,8 +1,7 @@
 """Goodness-of-fit and convergence diagnostics for the simulation pipeline.
 
-Empirical CDF dumps for external plotting, Kolmogorov-Smirnov distances
-against the exact laws where those exist, and an across-replica stability
-measure (how far the R per-replica ECDFs spread at their widest point).
+Empirical CDF dumps for external plotting and Kolmogorov-Smirnov distances
+against the exact laws where those exist.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import exact_cdf, has_exact_quantile
+from .exact import exact_cdf
 from .methods import MethodSpec
 from .sampling import replica_stream, sample_statistic
 from .special import DomainError
@@ -21,8 +20,6 @@ __all__ = [
     "ecdf",
     "ks_distance",
     "ks_critical_value",
-    "ecdf_spread",
-    "replica_stability",
     "write_ecdf_csv",
 ]
 
@@ -57,14 +54,10 @@ def ks_distance(dump: EcdfDump, cdf=None) -> float:
     """Kolmogorov-Smirnov distance between the dump and an exact CDF.
 
     Both one-sided gaps are taken at every jump.  When ``cdf`` is omitted
-    the exact law for (method, n, n_f) is used and must exist.
+    the exact law for (method, n, n_f) is used; exact_cdf raises
+    UnsupportedExactError when there is none.
     """
     if cdf is None:
-        if not has_exact_quantile(dump.spec, dump.n, dump.n_f):
-            raise DomainError(
-                f"no exact distribution for {dump.spec.method.token} "
-                f"with n={dump.n}, n_f={dump.n_f}"
-            )
         theo = np.asarray(exact_cdf(dump.spec, dump.n, dump.n_f, dump.values), dtype=float)
     else:
         theo = np.asarray(cdf(dump.values), dtype=float)
@@ -78,32 +71,6 @@ def ks_critical_value(N: int, level: float = 0.01) -> float:
     if level not in _KS_MULTIPLIER:
         raise DomainError("supported levels: 0.05 and 0.01")
     return _KS_MULTIPLIER[level] / np.sqrt(N)
-
-
-def ecdf_spread(dumps, grid_size: int = 201) -> float:
-    """Widest across-replica range of ECDF values over a fixed grid.
-
-    The grid spans the pooled sample range; identical dumps give zero.
-    """
-    if len(dumps) < 1:
-        raise DomainError("need at least one dump")
-    lo = min(float(d.values[0]) for d in dumps)
-    hi = max(float(d.values[-1]) for d in dumps)
-    grid = np.linspace(lo, hi, grid_size)
-    curves = np.empty((len(dumps), grid_size))
-    for i, d in enumerate(dumps):
-        curves[i] = np.searchsorted(d.values, grid, side="right") / d.N
-    return float(np.max(curves.max(axis=0) - curves.min(axis=0)))
-
-
-def replica_stability(spec: MethodSpec, n: int, n_f: int, N: int, R: int,
-                      seed: int, grid_size: int = 201) -> float:
-    """Spread of R independent replica ECDFs; small means the estimated
-    distribution is stable at this N."""
-    if R < 2:
-        raise DomainError("stability needs R >= 2")
-    dumps = [ecdf(spec, n, n_f, N, seed, replica=r) for r in range(R)]
-    return ecdf_spread(dumps, grid_size=grid_size)
 
 
 def write_ecdf_csv(dump: EcdfDump, path, include_exact: bool = False):

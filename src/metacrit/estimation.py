@@ -21,7 +21,6 @@ from .special import DomainError, normal_inv_cdf
 __all__ = [
     "QuantileEstimate",
     "quantile_index",
-    "order_stat_quantile",
     "run_replica",
     "aggregate",
     "simulate_cells",
@@ -60,14 +59,6 @@ def quantile_index(N: int, q: float) -> int:
         raise DomainError("quantile level must lie strictly inside (0, 1)")
     idx = int(math.floor(q * (N + 1) + _INDEX_GUARD))
     return min(max(idx, 1), N)
-
-
-def order_stat_quantile(sorted_sample, q: float) -> float:
-    """Plug-in quantile: the floor(q(N+1))-th smallest sample value."""
-    arr = np.asarray(sorted_sample, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("sample must be a non-empty vector")
-    return float(arr[quantile_index(arr.size, q) - 1])
 
 
 def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list[np.ndarray]:

@@ -46,6 +46,8 @@ __all__ = [
 
 _HEADER = "method,n,n_f,q,estimate,stderr,provenance"
 TABLE = "table"  # provenance of a critical value read from a table file
+# metadata keys read back from a table file, each with its parser
+_META = {"seed": lambda v: int(v, 0), "N": int, "R": int, "version": str, "numpy": str}
 
 
 class TableLookupError(KeyError):
@@ -53,7 +55,7 @@ class TableLookupError(KeyError):
 
 
 class TableParseError(ValueError):
-    """Malformed CSV row; carries the offending line number."""
+    """Malformed CSV row or metadata line; carries the offending line number."""
 
 
 class TableGenerationError(RuntimeError):
@@ -246,19 +248,21 @@ def write_csv(table: CriticalValueTable, path):
 
 def read_csv(path) -> CriticalValueTable:
     """Parse a table written by ``write_csv``; the round trip is lossless."""
-    table = CriticalValueTable(version="")
-    meta = {}
+    table = CriticalValueTable(version="", numpy="")
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
+                key, sep, val = (part.strip() for part in line[1:].partition("="))
+                if not sep:
                     raise TableParseError(f"line {lineno}: malformed metadata {line!r}")
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
+                if key in _META:
+                    try:
+                        setattr(table, key, _META[key](val))
+                    except ValueError as err:
+                        raise TableParseError(f"line {lineno}: bad metadata {line!r}") from err
                 continue
             if line == _HEADER:
                 continue
@@ -280,14 +284,6 @@ def read_csv(path) -> CriticalValueTable:
             if cell.provenance not in (EXACT, SIMULATED):
                 raise TableParseError(f"line {lineno}: unknown provenance {parts[6]!r}")
             table.add(cell)
-    if "seed" in meta:
-        table.seed = int(meta["seed"], 0)
-    if "N" in meta:
-        table.N = int(meta["N"])
-    if "R" in meta:
-        table.R = int(meta["R"])
-    table.version = meta.get("version", "")
-    table.numpy = meta.get("numpy", "")
     return table
 
 

@@ -259,6 +259,30 @@ class TestSourceUsageErrors:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("critical", "--method", "mg", "--n", "3", "--nf", "1", "--q", "0.95"), "--table"),
+        (("combine", "--method", "mg", "--nf", "1", "--alpha", "0.05"), "--p-file"),
+    ], ids=lambda a: a if isinstance(a, str) else a[0])
+    def test_non_utf8_file_is_usage_error(self, argv, flag, tmp_path):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00\x81binary")
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *argv, flag, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert f"error: cannot read {path}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("meta", ["seed=abc", "N=", "R=1.5"])
+    def test_bad_table_metadata_is_usage_error(self, meta, tmp_path):
+        path = tmp_path / "fisher.csv"
+        path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "combine", "--method",
+                               "fisher", "--nf", "1", "--alpha", "0.05", "--p", "0.1,0.2,0.3",
+                               "--table", str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error: line 2: bad metadata" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("flag", ["--N", "--R"])
     def test_bad_sim_size_rejected_on_table_hit(self, flag, tmp_path, capsys):
         path = tmp_path / "mg.csv"
@@ -369,6 +393,17 @@ class TestSeedHandling:
             main(["validate", "--method", "tippett", "--n", "3", "--nf", "0",
                   "--seed", "xyz"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_is_usage_error(self, value, monkeypatch):
+        monkeypatch.setenv("METACRIT_SEED", value)
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "critical", "--method",
+                               "fisher", "--n", "3", "--nf", "1", "--q", "0.95", "--simulate"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

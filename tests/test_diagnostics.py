@@ -1,4 +1,4 @@
-"""ECDF dumps, KS distances against exact laws, and replica stability."""
+"""ECDF dumps and KS distances against exact laws."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from metacrit.diagnostics import (
     EcdfDump,
     ecdf,
-    ecdf_spread,
     ks_critical_value,
     ks_distance,
-    replica_stability,
     write_ecdf_csv,
 )
+from metacrit.exact import UnsupportedExactError, exact_quantile
 from metacrit.methods import Method, MethodSpec
 from metacrit.special import DomainError
 
@@ -32,11 +31,9 @@ class TestKsDistance:
     def test_plug_in_grid_is_tight(self):
         # evaluating the exact quantile grid against its own CDF leaves at
         # most one ECDF step of discrepancy
-        from metacrit.exact import tippett_quantile
-
         N = 500
         qs = (np.arange(1, N + 1) - 0.5) / N
-        vals = np.array([tippett_quantile(5, 3, q) for q in qs])
+        vals = np.array([exact_quantile(MethodSpec(Method.TIPPETT), 5, 3, q) for q in qs])
         dump = EcdfDump(values=vals, heights=np.arange(1, N + 1) / N,
                         spec=MethodSpec(Method.TIPPETT), n=5, n_f=3, N=N,
                         seed=0, replica=0)
@@ -56,7 +53,7 @@ class TestKsDistance:
 
     def test_unsupported_law(self):
         dump = ecdf(MethodSpec(Method.MUDHOLKAR_GEORGE), 3, 0, 10, seed=3)
-        with pytest.raises(DomainError):
+        with pytest.raises(UnsupportedExactError):
             ks_distance(dump)
 
     def test_explicit_cdf_argument(self):
@@ -68,26 +65,6 @@ class TestKsDistance:
         assert ks_critical_value(4999, 0.01) == pytest.approx(1.629 / np.sqrt(4999), abs=1e-12)
         with pytest.raises(DomainError):
             ks_critical_value(4999, 0.2)
-
-
-class TestStability:
-    def test_identical_dumps_have_zero_spread(self):
-        dump = ecdf(MethodSpec(Method.TIPPETT), 5, 3, 200, seed=5)
-        assert ecdf_spread([dump] * 8) == 0.0
-
-    def test_standard_size_is_stable(self):
-        spread = replica_stability(MethodSpec(Method.TIPPETT), 5, 3, 4999, R=50, seed=6)
-        assert spread <= 0.06
-
-    def test_small_samples_spread_more(self):
-        spec = MethodSpec(Method.TIPPETT)
-        wide = replica_stability(spec, 5, 3, 10, R=50, seed=7)
-        tight = replica_stability(spec, 5, 3, 4999, R=50, seed=7)
-        assert wide > tight
-
-    def test_needs_two_replicas(self):
-        with pytest.raises(DomainError):
-            replica_stability(MethodSpec(Method.TIPPETT), 5, 3, 100, R=1, seed=8)
 
 
 class TestCsvDump:

@@ -8,12 +8,12 @@ from metacrit.estimation import (
     QuantileEstimate,
     aggregate,
     confidence_interval,
-    order_stat_quantile,
     quantile_index,
     run_replica,
     simulate_cells,
     simulate_quantiles,
 )
+from metacrit.exact import exact_quantile
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import DEFAULT_Q_LEVELS, SimConfig, replica_stream
 from metacrit.special import DomainError
@@ -29,19 +29,7 @@ class TestQuantileIndex:
         assert quantile_index(10, 0.9999) == 10
 
     def test_median_of_nine(self):
-        sample = np.array([10, 20, 30, 40, 50, 60, 70, 80, 90], dtype=float)
-        assert order_stat_quantile(sample, 0.5) == 50.0
-
-    def test_within_sample_range(self):
-        rng = np.random.default_rng(3)
-        sample = np.sort(rng.normal(size=321))
-        for q in np.linspace(0.01, 0.99, 33):
-            v = order_stat_quantile(sample, q)
-            assert sample[0] <= v <= sample[-1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            order_stat_quantile([], 0.5)
+        assert quantile_index(9, 0.5) == 5
 
 
 class TestAggregate:
@@ -137,13 +125,11 @@ class TestRunReplica:
 
 class TestSimulateQuantiles:
     def test_tippett_against_exact_law(self):
-        from metacrit.exact import tippett_quantile
-
         spec = MethodSpec(Method.TIPPETT)
         cfg = SimConfig(n=4, n_f=1, N=4999, R=50, seed=314159)
         estimates = simulate_quantiles(spec, cfg)
         for est in estimates:
-            exact = tippett_quantile(4, 1, est.q)
+            exact = exact_quantile(spec, 4, 1, est.q)
             assert abs(est.estimate - exact) <= 3 * est.stderr
 
     @pytest.mark.parametrize("other", [dict(N=501), dict(R=3), dict(seed=7)])

@@ -1,5 +1,5 @@
 """Closed-form quantiles/CDFs: support matrix, reference values, cross-law
-identities, and the fake-sample Fisher transform diagnostic."""
+identities, and a sampler check through the fake-sample Fisher transform."""
 
 import math
 
@@ -9,26 +9,26 @@ from scipy import stats
 
 from metacrit.exact import (
     UnsupportedExactError,
-    chen_quantile_genuine,
-    edgington_cdf_genuine,
     edgington_quantile_genuine,
     exact_cdf,
     exact_quantile,
-    fake_fisher_transform_check,
-    fisher_quantile_genuine,
-    gm_quantile_genuine,
     has_exact_quantile,
-    stouffer_quantile_genuine,
-    tippett_quantile,
     wilkinson_max_quantile,
 )
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import replica_stream, sample_pmatrix
-from metacrit.special import DomainError
 
 
 def spec(method, **kw):
     return MethodSpec(method, **kw)
+
+
+def quantile(method, n, n_f, q):
+    return exact_quantile(spec(method), n, n_f, q)
+
+
+def cdf(method, n, n_f, x):
+    return exact_cdf(spec(method), n, n_f, x)
 
 
 class TestSupportMatrix:
@@ -78,17 +78,17 @@ class TestSupportMatrix:
 
 class TestTippett:
     def test_reference_cells(self):
-        assert tippett_quantile(3, 0, 0.005) == pytest.approx(0.00167, abs=5e-6)
-        assert tippett_quantile(5, 3, 0.900) == pytest.approx(0.25011, abs=5e-6)
+        assert quantile(Method.TIPPETT, 3, 0, 0.005) == pytest.approx(0.00167, abs=5e-6)
+        assert quantile(Method.TIPPETT, 5, 3, 0.900) == pytest.approx(0.25011, abs=5e-6)
 
     def test_single_uniform_identity(self):
         for q in (0.1, 0.5, 0.9):
-            assert tippett_quantile(1, 0, q) == pytest.approx(q, abs=1e-14)
+            assert quantile(Method.TIPPETT, 1, 0, q) == pytest.approx(q, abs=1e-14)
 
     def test_matches_beta_law(self):
         for n, n_f in ((3, 0), (5, 3), (26, 8)):
             for q in (0.005, 0.5, 0.995):
-                assert tippett_quantile(n, n_f, q) == pytest.approx(
+                assert quantile(Method.TIPPETT, n, n_f, q) == pytest.approx(
                     stats.beta.ppf(q, 1, n + n_f), rel=1e-12
                 )
 
@@ -118,42 +118,42 @@ class TestWilkinson:
 
 class TestGenuineOnlyLaws:
     def test_fisher(self):
-        assert fisher_quantile_genuine(3, 0.995) == pytest.approx(18.5476, abs=5e-5)
-        assert fisher_quantile_genuine(13, 0.005) == pytest.approx(11.1602, abs=5e-5)
-        assert fisher_quantile_genuine(1, 0.5) == pytest.approx(2 * math.log(2), abs=1e-10)
+        assert quantile(Method.FISHER, 3, 0, 0.995) == pytest.approx(18.5476, abs=5e-5)
+        assert quantile(Method.FISHER, 13, 0, 0.005) == pytest.approx(11.1602, abs=5e-5)
+        assert quantile(Method.FISHER, 1, 0, 0.5) == pytest.approx(2 * math.log(2), abs=1e-10)
 
     def test_chen(self):
-        assert chen_quantile_genuine(10, 0.995) == pytest.approx(25.1882, abs=5e-5)
-        assert chen_quantile_genuine(10, 0.900) == pytest.approx(15.9872, abs=5e-5)
-        assert chen_quantile_genuine(2, 1 - math.e**-1) == pytest.approx(2.0, abs=1e-10)
+        assert quantile(Method.CHEN, 10, 0, 0.995) == pytest.approx(25.1882, abs=5e-5)
+        assert quantile(Method.CHEN, 10, 0, 0.900) == pytest.approx(15.9872, abs=5e-5)
+        assert quantile(Method.CHEN, 2, 0, 1 - math.e**-1) == pytest.approx(2.0, abs=1e-10)
 
     def test_stouffer(self):
-        assert stouffer_quantile_genuine(0.025) == pytest.approx(-1.9600, abs=5e-5)
-        assert stouffer_quantile_genuine(0.5) == 0.0
-        assert stouffer_quantile_genuine(0.995) == pytest.approx(2.5758, abs=5e-5)
+        assert quantile(Method.STOUFFER, 4, 0, 0.025) == pytest.approx(-1.9600, abs=5e-5)
+        assert quantile(Method.STOUFFER, 4, 0, 0.5) == 0.0
+        assert quantile(Method.STOUFFER, 4, 0, 0.995) == pytest.approx(2.5758, abs=5e-5)
 
     def test_gm(self):
-        assert gm_quantile_genuine(3, 0.005) == pytest.approx(0.04544, abs=5e-5)
-        assert gm_quantile_genuine(3, 0.995) == pytest.approx(0.89349, abs=5e-5)
+        assert quantile(Method.GEOMETRIC_MEAN, 3, 0, 0.005) == pytest.approx(0.04544, abs=5e-5)
+        assert quantile(Method.GEOMETRIC_MEAN, 3, 0, 0.995) == pytest.approx(0.89349, abs=5e-5)
         for q in (0.2, 0.7):
-            assert gm_quantile_genuine(1, q) == pytest.approx(q, abs=1e-10)
+            assert quantile(Method.GEOMETRIC_MEAN, 1, 0, q) == pytest.approx(q, abs=1e-10)
 
     def test_fisher_gm_tail_flip(self):
         for n in (2, 5, 13):
             for q in (0.05, 0.5, 0.95):
-                assert fisher_quantile_genuine(n, q) == pytest.approx(
-                    -2 * n * math.log(gm_quantile_genuine(n, 1 - q)), abs=1e-8
+                assert quantile(Method.FISHER, n, 0, q) == pytest.approx(
+                    -2 * n * math.log(quantile(Method.GEOMETRIC_MEAN, n, 0, 1 - q)), abs=1e-8
                 )
 
     def test_all_strictly_increasing(self):
         qs = np.linspace(0.01, 0.99, 99)
         funcs = [
-            lambda q: tippett_quantile(4, 2, q),
+            lambda q: quantile(Method.TIPPETT, 4, 2, q),
             lambda q: wilkinson_max_quantile(4, 2, q),
-            lambda q: fisher_quantile_genuine(4, q),
-            lambda q: chen_quantile_genuine(4, q),
-            lambda q: stouffer_quantile_genuine(q),
-            lambda q: gm_quantile_genuine(4, q),
+            lambda q: quantile(Method.FISHER, 4, 0, q),
+            lambda q: quantile(Method.CHEN, 4, 0, q),
+            lambda q: quantile(Method.STOUFFER, 4, 0, q),
+            lambda q: quantile(Method.GEOMETRIC_MEAN, 4, 0, q),
             lambda q: edgington_quantile_genuine(4, q),
         ]
         for f in funcs:
@@ -163,18 +163,18 @@ class TestGenuineOnlyLaws:
 
 class TestEdgington:
     def test_symmetry_points(self):
-        assert edgington_cdf_genuine(2, 0.5) == pytest.approx(0.5, abs=1e-12)
-        assert edgington_cdf_genuine(3, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert cdf(Method.EDGINGTON, 2, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert cdf(Method.EDGINGTON, 3, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_tail_closed_form(self):
         # below x = 1/n the CDF is (n x)^n / n!
         x = (0.6) ** (1 / 3) / 3
-        assert edgington_cdf_genuine(3, x) == pytest.approx(0.1, abs=1e-12)
+        assert cdf(Method.EDGINGTON, 3, 0, x) == pytest.approx(0.1, abs=1e-12)
 
     def test_against_scipy_irwin_hall(self):
         for n in (2, 5, 12):
             x = np.linspace(0.01, 0.99, 37)
-            ours = edgington_cdf_genuine(n, x)
+            ours = cdf(Method.EDGINGTON, n, 0, x)
             ref = stats.irwinhall.cdf(n * x, n)
             assert np.abs(ours - ref).max() < 1e-10
 
@@ -182,28 +182,21 @@ class TestEdgington:
         for n in (2, 7, 12):
             for q in (0.005, 0.1, 0.9, 0.995):
                 x = edgington_quantile_genuine(n, q)
-                assert edgington_cdf_genuine(n, x) == pytest.approx(q, abs=1e-9)
+                assert cdf(Method.EDGINGTON, n, 0, x) == pytest.approx(q, abs=1e-9)
 
     def test_out_of_range_n(self):
         with pytest.raises(UnsupportedExactError):
-            edgington_cdf_genuine(13, 0.5)
+            cdf(Method.EDGINGTON, 13, 0, 0.5)
         with pytest.raises(UnsupportedExactError):
-            edgington_cdf_genuine(1, 0.5)
+            cdf(Method.EDGINGTON, 1, 0, 0.5)
 
 
 class TestFakeFisherTransform:
-    def test_single_point(self):
-        assert fake_fisher_transform_check([1 - math.e**-0.25]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_boundary(self):
-        with pytest.raises(DomainError):
-            fake_fisher_transform_check([0.0, 0.5])
-
     def test_ks_against_chi2(self):
         # transform of genuine fake draws is chi-square with 2 dof per fake
         stream = replica_stream(777, 0)
         fakes = sample_pmatrix(1, 1, 4999, stream)
-        vals = np.sort([fake_fisher_transform_check(row) for row in fakes])
+        vals = np.sort(-4.0 * np.log1p(-fakes).sum(axis=1))
         heights = np.arange(1, 5000) / 4999
         theo = stats.chi2.cdf(vals, 2)
         dist = max(np.max(heights - theo), np.max(theo - (heights - 1 / 4999)))

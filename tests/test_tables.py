@@ -192,6 +192,13 @@ class TestCsv:
         with pytest.raises(TableParseError, match="line 2"):
             read_csv(path)
 
+    @pytest.mark.parametrize("meta", ["seed=abc", "N=4999.0", "R="])
+    def test_bad_metadata_names_line(self, meta, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
+        with pytest.raises(TableParseError, match="line 2: bad metadata"):
+            read_csv(path)
+
     def test_full_grid_row_count(self):
         table = generate_table(MethodSpec(Method.TIPPETT))
         assert len(table.cells) == 1410
