@@ -98,7 +98,7 @@ _LAWS = {
                     lambda n, n_f, x: reg_lower_gamma(n, np.maximum(x, 0.0) / 2.0)),
     Method.CHEN: (_genuine_only, lambda n, n_f, q: chisq_quantile(n, q),
                   lambda n, n_f, x: reg_lower_gamma(n / 2.0, np.maximum(x, 0.0) / 2.0)),
-    Method.STOUFFER: (_genuine_only, lambda n, n_f, q: float(normal_inv_cdf(q)),
+    Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
                       lambda n, n_f, x: normal_cdf(x)),
     # -ln(prod P_k) is Gamma(n, 1) and the statistic exp(-G/n) falls as G grows
     Method.GEOMETRIC_MEAN: (

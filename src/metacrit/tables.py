@@ -11,6 +11,7 @@ worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -87,8 +88,15 @@ class TableCell:
     provenance: str
 
     def __post_init__(self):
-        # simulated cells may lack a stderr only when R = 1; exact cells never
-        # carry one
+        # a nan or infinite critical value would decide every comparison one
+        # way; simulated cells may lack a stderr only when R = 1, and exact
+        # cells never carry one
+        if self.provenance not in (EXACT, SIMULATED):
+            raise DomainError(f"unknown provenance {self.provenance!r}")
+        if not math.isfinite(self.estimate):
+            raise DomainError(f"estimate must be finite, got {self.estimate!r}")
+        if self.stderr is not None and not (math.isfinite(self.stderr) and self.stderr >= 0.0):
+            raise DomainError(f"stderr must be finite and >= 0, got {self.stderr!r}")
         if self.provenance == EXACT and self.stderr is not None:
             raise DomainError("exact cells carry no standard error")
 
@@ -107,7 +115,8 @@ class CriticalValueTable:
     def add(self, cell: TableCell):
         key = (cell.method, cell.n, cell.n_f, cell.q)
         if key in self.cells:
-            raise DomainError(f"duplicate table key {key}")
+            raise DomainError(f"duplicate table key ({cell.method.token}, n={cell.n}, "
+                              f"n_f={cell.n_f}, q={cell.q!r})")
         self.cells[key] = cell
 
     def sorted_cells(self):
@@ -206,6 +215,8 @@ def generate_table(
     grid = default_grid(n_min, n_max)
     # validate N, R, seed and the q grid once, before fanning out cells
     SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     # more processes than cells or cores only adds fork and import cost; each
     # job is an interleaved group of cells, so jobs get like shares of work
     workers = max(1, min(workers, len(grid), os.cpu_count() or 1))
@@ -279,11 +290,9 @@ def read_csv(path) -> CriticalValueTable:
                     stderr=float(parts[5]) if parts[5] else None,
                     provenance=parts[6],
                 )
+                table.add(cell)
             except (ValueError, DomainError) as err:
                 raise TableParseError(f"line {lineno}: {err}") from err
-            if cell.provenance not in (EXACT, SIMULATED):
-                raise TableParseError(f"line {lineno}: unknown provenance {parts[6]!r}")
-            table.add(cell)
     return table
 
 

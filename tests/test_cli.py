@@ -62,6 +62,13 @@ class TestGenTable:
         assert code == 2
         assert "strictly inside" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, workers, tmp_path, capsys):
+        code, _, err = run(capsys, "gen-table", "--method", "tippett", "--n-max", "3",
+                           "--workers", workers, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "error: workers must be >= 1" in err
+
 
 class TestCritical:
     def test_stouffer_exact(self, capsys):
@@ -281,6 +288,23 @@ class TestSourceUsageErrors:
                                "--table", str(path)], capture_output=True, text=True)
         assert proc.returncode == 2
         assert "error: line 2: bad metadata" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # a nan critical would retain and a -inf one reject; a duplicate row is
+    # ambiguous
+    @pytest.mark.parametrize("row", ["fisher,3,1,0.95,nan,0.1,simulated",
+                                     "fisher,3,1,0.95,-inf,0.1,simulated",
+                                     "fisher,3,0,0.95,12.5916,,exact"],
+                             ids=["nan", "-inf", "duplicate"])
+    def test_bad_table_row_is_usage_error(self, row, tmp_path):
+        path = tmp_path / "fisher.csv"
+        path.write_text(f"method,n,n_f,q,estimate,stderr,provenance\n"
+                        f"fisher,3,0,0.95,12.5916,,exact\n{row}\n")
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "combine", "--method",
+                               "fisher", "--nf", "1", "--alpha", "0.05", "--p", "0.01,0.02,0.03",
+                               "--table", str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error: line 3: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--N", "--R"])

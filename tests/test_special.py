@@ -1,5 +1,7 @@
 """Special-function kernel against scipy oracles and its own invariants."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -14,7 +16,6 @@ from metacrit.special import (
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
-    reg_upper_gamma,
 )
 
 
@@ -105,7 +106,6 @@ class TestIncompleteGamma:
     def test_against_scipy(self, a):
         x = np.linspace(0.0, 6 * a + 30, 3001)
         assert np.abs(reg_lower_gamma(a, x) - sp.gammainc(a, x)).max() < 2e-13
-        assert np.abs(reg_upper_gamma(a, x) - sp.gammaincc(a, x)).max() < 2e-13
 
     def test_monotone_and_limits(self):
         x = np.linspace(0, 200, 2001)
@@ -120,22 +120,35 @@ class TestIncompleteGamma:
         with pytest.raises(DomainError):
             reg_lower_gamma(-1.0, 1.0)
 
-    @pytest.mark.parametrize("a", [0.5, 2.5, 13.0, 123.0])
-    def test_array_equals_pointwise(self, a):
-        # one kernel: an array is the scalar path mapped over its elements,
-        # on both sides of the x = a + 1 regime split
-        x = np.linspace(0.0, 6 * a + 30, 401).reshape(401, 1)
-        for f in (reg_lower_gamma, reg_upper_gamma):
-            arr = f(a, x)
-            assert arr.shape == x.shape
-            assert np.array_equal(arr, np.array([[f(a, float(v))] for v in x.ravel()]))
+    # one map serves every kernel: an array is the scalar path mapped over its
+    # elements, here on both sides of the gamma's x = a + 1 regime split and
+    # for the two normal kernels
+    @pytest.mark.parametrize("f, x", [
+        *[pytest.param(partial(reg_lower_gamma, a),
+                       np.linspace(0.0, 6 * a + 30, 401).reshape(401, 1), id=f"{a}")
+          for a in (0.5, 2.5, 13.0, 123.0)],
+        pytest.param(normal_cdf, np.linspace(-40.0, 40.0, 401).reshape(401, 1),
+                     id="normal_cdf"),
+        pytest.param(normal_inv_cdf, np.concatenate(
+            [np.geomspace(1e-300, 0.4, 200), np.linspace(0.01, 0.99, 201)]).reshape(1, 401),
+                     id="normal_inv_cdf"),
+    ])
+    def test_array_equals_pointwise(self, f, x):
+        arr = f(x)
+        assert arr.shape == x.shape
+        pointwise = np.array([f(float(v)) for v in x.ravel()]).reshape(x.shape)
+        assert np.array_equal(arr, pointwise)
 
-    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
-    def test_array_rejects_bad_entries(self, bad):
-        x = np.array([0.5, 1.0, bad, 2.0])
-        for f in (reg_lower_gamma, reg_upper_gamma):
-            with pytest.raises(DomainError):
-                f(2.5, x)
+    @pytest.mark.parametrize("f, bad", [
+        *[pytest.param(partial(reg_lower_gamma, 2.5), bad, id=f"{bad}")
+          for bad in (-1e-3, np.nan, np.inf)],
+        *[pytest.param(normal_cdf, bad, id=f"normal_cdf-{bad}") for bad in (np.nan, np.inf)],
+        *[pytest.param(normal_inv_cdf, bad, id=f"normal_inv_cdf-{bad}")
+          for bad in (np.nan, 0.0, np.inf)],
+    ])
+    def test_array_rejects_bad_entries(self, f, bad):
+        with pytest.raises(DomainError):
+            f(np.array([0.25, 0.5, bad, 0.75]))
 
 
 class TestQuantiles:

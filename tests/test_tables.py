@@ -143,6 +143,11 @@ class TestDeterminism:
         assert recorded == [2]
         assert len(table.cells) == len(default_grid(n, n)) * 10
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            generate_table(MethodSpec(Method.TIPPETT), n_min=3, n_max=3, workers=workers)
+
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
@@ -197,6 +202,22 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
         with pytest.raises(TableParseError, match="line 2: bad metadata"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "fisher,3,0,0.95,nan,,exact",
+        "fisher,3,0,0.95,inf,,exact",
+        "fisher,3,1,0.95,-inf,0.1,simulated",
+        "fisher,3,1,0.95,14.0,-0.1,simulated",
+        "fisher,3,1,0.95,14.0,nan,simulated",
+        "fisher,3,1,0.95,14.0,inf,simulated",
+        "fisher,3,0,0.95,12.5916,,exact",  # a duplicate of line 2
+    ])
+    def test_bad_row_names_line(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"method,n,n_f,q,estimate,stderr,provenance\n"
+                        f"fisher,3,0,0.95,12.5916,,exact\n{row}\n")
+        with pytest.raises(TableParseError, match="line 3: "):
             read_csv(path)
 
     def test_full_grid_row_count(self):
