@@ -130,6 +130,19 @@ def _read_file(path, parse):
         raise CliError(f"cannot read {path}: {err}", EXIT_USAGE)
 
 
+def _check_writable(path):
+    # an output file that cannot be written is a usage error, found before any
+    # work is done; a file made only for the check is removed again
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as err:
+        raise CliError(f"cannot write {path}: {err}", EXIT_USAGE)
+    if not existed:
+        os.remove(path)
+
+
 def _fmt_critical(est: QuantileEstimate) -> str:
     text = f"critical[q={est.q:g}] = {est.estimate:.6g} ({est.provenance}"
     if est.stderr is not None:
@@ -144,6 +157,7 @@ def _fmt_critical(est: QuantileEstimate) -> str:
 def _cmd_gen_table(args) -> int:
     spec = MethodSpec(parse_method(args.method))
     q_list = _parse_q_list(args.q_list) if args.q_list else DEFAULT_Q_LEVELS
+    _check_writable(args.out)
     table = generate_table(
         spec,
         n_min=args.n_min,
@@ -235,6 +249,8 @@ def _cmd_combine(args) -> int:
 
 def _cmd_validate(args) -> int:
     spec = MethodSpec(parse_method(args.method))
+    if args.out:
+        _check_writable(args.out)
     if not has_exact_quantile(spec, args.n, args.nf):
         print(
             f"no exact law to validate against for {spec.method.token} "
@@ -258,6 +274,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_ecdf(args) -> int:
     spec = MethodSpec(parse_method(args.method))
+    _check_writable(args.out)
     dump = ecdf(spec, args.n, args.nf, args.N, args.seed)
     include_exact = has_exact_quantile(spec, args.n, args.nf)
     write_ecdf_csv(dump, args.out, include_exact=include_exact)

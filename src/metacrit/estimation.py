@@ -9,6 +9,7 @@ from which a normal confidence interval follows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,8 +71,14 @@ def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list[np.ndarray]:
         raise DomainError("replica index outside 0..R-1")
     stream = replica_stream(first.seed, replica_index)
     draws = sample_cells(spec, [(cfg.n, cfg.n_f) for cfg in cfgs], first.N, stream)
-    return [np.sort(stats)[[quantile_index(first.N, q) - 1 for q in cfg.q_list]]
-            for cfg, stats in zip(cfgs, draws)]
+    return [np.sort(stats)[list(_ranks(first.N, cfg.q_list))] for cfg, stats in zip(cfgs, draws)]
+
+
+@functools.lru_cache(maxsize=256)
+def _ranks(N: int, q_list: tuple) -> tuple:
+    # 0-based order-statistic positions of the levels; every replica of a
+    # cell reads the same ones
+    return tuple(quantile_index(N, q) - 1 for q in q_list)
 
 
 def aggregate(replica_values, q: float) -> QuantileEstimate:

@@ -9,6 +9,7 @@ statistic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "parse_method",
     "evaluate_statistic",
     "evaluate_batch",
+    "score",
+    "reduce",
     "SCORE_STATISTICS",
     "validate_pvector",
 ]
@@ -121,75 +124,76 @@ def validate_pvector(p) -> np.ndarray:
     return arr
 
 
-def _stat_tippett(p):
-    return np.min(p, axis=-1)
+def _mg_score(p, out=None):
+    logp = np.log(p)  # read before an in-place out overwrites p
+    out = np.negative(p, out=out)
+    np.log1p(out, out=out)
+    return np.subtract(out, logp, out=out)
 
 
-def _stat_fisher(p):
-    return -2.0 * np.sum(np.log(p), axis=-1)
+def _reciprocal(p, out=None):
+    return np.divide(1.0, p, out=out)
 
 
-def _stat_gm(p):
+def _square(z, out=None):
+    return np.multiply(z, z, out=out)
+
+
+def _gm(p):
     # product via sum of logs; no underflow for any practical n
     return np.exp(np.mean(np.log(p), axis=-1))
 
 
-def _stat_min_gm(p):
-    return np.minimum(_stat_gm(p), _stat_gm(1.0 - p))
-
-
-def _stat_edgington(p):
-    return np.mean(p, axis=-1)
-
-
-def _stat_mg(p):
-    return np.sum(np.log1p(-p) - np.log(p), axis=-1)
-
-
-def _stat_harmonic(p):
-    n = p.shape[-1]
-    return n / np.sum(1.0 / p, axis=-1)
-
-
-def _score_stouffer(z):
-    return np.sum(z, axis=-1) / np.sqrt(z.shape[-1])
-
-
-def _score_chen(z):
-    return np.sum(z * z, axis=-1)
-
-
-_STATS = {
-    Method.TIPPETT: _stat_tippett,
-    Method.FISHER: _stat_fisher,
-    Method.GEOMETRIC_MEAN: _stat_gm,
-    Method.MIN_GEOMETRIC_MEANS: _stat_min_gm,
-    Method.EDGINGTON: _stat_edgington,
-    Method.MUDHOLKAR_GEORGE: _stat_mg,
-    Method.WILSON_HARMONIC: _stat_harmonic,
+# Every statistic is an elementwise score of the drawn values (p, or the
+# normal scores z = Phi^-1(p) for Stouffer and Chen) followed by a reduction
+# over the last axis of the scored (..., n) array.  A score may write in place
+# (out=x), so the simulation scores each value of a stream prefix once and
+# every cell reduces its own view of it.
+_SPLITS = {
+    Method.TIPPETT: (np.positive, lambda s, spec: np.min(s, axis=-1)),
+    Method.FISHER: (np.log, lambda s, spec: -2.0 * np.sum(s, axis=-1)),
+    Method.GEOMETRIC_MEAN: (np.log, lambda s, spec: np.exp(np.mean(s, axis=-1))),
+    Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda s, spec: np.minimum(_gm(s), _gm(1.0 - s))),
+    Method.STOUFFER: (np.positive, lambda s, spec: np.sum(s, axis=-1) / np.sqrt(s.shape[-1])),
+    Method.WILKINSON: (np.positive, lambda s, spec:
+                       np.sort(s, axis=-1)[..., spec.resolve_k(s.shape[-1]) - 1]),
+    Method.EDGINGTON: (np.positive, lambda s, spec: np.mean(s, axis=-1)),
+    Method.MUDHOLKAR_GEORGE: (_mg_score, lambda s, spec: np.sum(s, axis=-1)),
+    Method.WILSON_HARMONIC: (_reciprocal, lambda s, spec: s.shape[-1] / np.sum(s, axis=-1)),
+    Method.CHEN: (_square, lambda s, spec: np.sum(s, axis=-1)),
 }
+
+
+def score(spec: MethodSpec, x: np.ndarray, out=None) -> np.ndarray:
+    """The statistic's elementwise score of the drawn values ``x``, written to
+    ``out`` when given (``out=x`` scores in place)."""
+    return _SPLITS[spec.method][0](x, out=out)
+
+
+def reduce(spec: MethodSpec, scored: np.ndarray) -> np.ndarray:
+    """The statistic of each row of scored values (last axis)."""
+    return _SPLITS[spec.method][1](scored, spec)
+
+
+def _statistic(spec: MethodSpec, x: np.ndarray) -> np.ndarray:
+    return reduce(spec, score(spec, x))
+
 
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws
 # directly
-SCORE_STATISTICS = {
-    Method.STOUFFER: _score_stouffer,
-    Method.CHEN: _score_chen,
-}
+SCORE_STATISTICS = {m: functools.partial(_statistic, MethodSpec(m))
+                    for m in (Method.STOUFFER, Method.CHEN)}
 
 
 def evaluate_batch(spec: MethodSpec, pmatrix: np.ndarray) -> np.ndarray:
     """Evaluate the statistic over the last axis of a (..., n) array of
     p-values.  Input is assumed validated (used on sampler output)."""
     pmatrix = np.asarray(pmatrix, dtype=float)
-    n = pmatrix.shape[-1]
-    if n < 1:
+    if pmatrix.shape[-1] < 1:
         raise DomainError("p-value vectors must be non-empty")
-    if spec.method is Method.WILKINSON:
-        k = spec.resolve_k(n)
-        return np.sort(pmatrix, axis=-1)[..., k - 1]
     if spec.method in SCORE_STATISTICS:
-        return SCORE_STATISTICS[spec.method](normal_inv_cdf(pmatrix))
-    return _STATS[spec.method](pmatrix)
+        pmatrix = normal_inv_cdf(pmatrix)
+    return _statistic(spec, pmatrix)
 
 
 def evaluate_statistic(spec: MethodSpec, p) -> float:

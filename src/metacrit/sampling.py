@@ -15,6 +15,14 @@ sequence is a pure function of those two integers no matter how work is
 scheduled across processes.  Cell (n, n_f) reads the first N(n + n_f) values,
 so a table draws each replica's stream once and every cell reads its own
 prefix: the values a stream of its own would give.
+
+Every statistic is an elementwise score followed by a row reduction (see
+``methods``).  A table therefore scores its prefix once as well: the fake
+pairs' minima, then in place every value that some cell reads as genuine.
+Each cell's matrix is a view of the scored values (joined with its fakes'
+minima when n_f > 0), reduced in row blocks.  A score depends on nothing but
+its element and every row keeps its layout, so each statistic is bit for bit
+the one a cell of its own computes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .methods import SCORE_STATISTICS, MethodSpec, evaluate_batch
+from .methods import SCORE_STATISTICS, MethodSpec, reduce, score
 from .special import DomainError
 
 __all__ = [
@@ -40,6 +48,7 @@ DEFAULT_SEED = 20240101
 DEFAULT_Q_LEVELS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995)
 DEFAULT_N_SAMPLES = 4999
 DEFAULT_N_REPLICAS = 50
+_BLOCK = 65536  # values scored or reduced at a time
 
 
 @dataclass(frozen=True)
@@ -105,20 +114,26 @@ def _draw(stream: np.random.Generator, size: int, scores: bool) -> np.ndarray:
     return x
 
 
-def _prefix(cells, N: int, stream: np.random.Generator, scores: bool) -> np.ndarray:
-    """Check the (n, n_f) cells and draw the longest stream prefix they read."""
+def _prefix(cells, N: int, stream: np.random.Generator, scores: bool):
+    """Check the (n, n_f) cells, draw the longest stream prefix they read, and
+    return it with the minima of its fake pairs, N·max n_f of them."""
     for n, n_f in cells:
         if N < 1 or n < 1 or not (0 <= n_f <= n):
             raise DomainError(f"need N, n >= 1 and 0 <= n_f <= n; got N={N}, n={n}, n_f={n_f}")
-    return _draw(stream, N * max(n + n_f for n, n_f in cells), scores)
+    base = _draw(stream, N * max(n + n_f for n, n_f in cells), scores)
+    pairs = base[:2 * N * max(n_f for _, n_f in cells)]
+    return base, np.minimum(pairs[0::2], pairs[1::2])
 
 
-def _matrix(base: np.ndarray, n: int, n_f: int, N: int, rows=slice(None)) -> np.ndarray:
-    """The ``rows`` of cell (n, n_f)'s (N, n) matrix from a stream prefix: the
-    fakes' (N, n_f, 2) pairs reduced pairwise, then the genuine (N, n - n_f)."""
-    pairs = base[:2 * N * n_f].reshape(N, n_f, 2)[rows]
+def _matrix(prefix, n: int, n_f: int, N: int, rows=slice(None)) -> np.ndarray:
+    """The ``rows`` of cell (n, n_f)'s (N, n) matrix from a ``_prefix``: its
+    n_f fakes (the minima of the prefix's first N·n_f pairs), then the genuine
+    (N, n - n_f) values that follow those pairs in the stream."""
+    base, minima = prefix
     genuine = base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f)[rows]
-    return np.concatenate([np.minimum(pairs[..., 0], pairs[..., 1]), genuine], axis=1)
+    if not n_f:
+        return genuine
+    return np.concatenate([minima[:N * n_f].reshape(N, n_f)[rows], genuine], axis=1)
 
 
 def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
@@ -133,16 +148,23 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.
 
 def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
     """Yield N values of the statistic for each (n, n_f) of ``cells`` in turn,
-    all read from one draw of the stream.  Stouffer and Chen get their normal
-    scores drawn directly in the ``sample_pmatrix`` layout: no probit runs."""
-    score = SCORE_STATISTICS.get(spec.method)
-    base = _prefix(cells, N, stream, scores=score is not None)
-    statistic = score or (lambda pmatrix: evaluate_batch(spec, pmatrix))
+    all read from one draw of the stream, scored once.  Stouffer and Chen get
+    their normal scores drawn directly in the ``sample_pmatrix`` layout: no
+    probit runs."""
+    prefix = base, minima = _prefix(cells, N, stream, scores=spec.method in SCORE_STATISTICS)
+    # score each value some cell reads once: the pair minima, and in place the
+    # prefix from 2N·min n_f on (no cell reads a genuine value before that);
+    # for one cell that is exactly its N·n values.  In blocks, because
+    # temporaries as large as the prefix would raise peak memory.
+    for values in (minima, base[2 * N * min(n_f for _, n_f in cells):]):
+        for a in range(0, values.size, _BLOCK):
+            block = values[a:a + _BLOCK]
+            score(spec, block, out=block)
     for n, n_f in cells:
-        # blocks of <= 64Ki p-values: the allocator reuses their temporaries
+        # blocks of <= 64Ki values: the allocator reuses their temporaries
         # (larger ones are handed back and refaulted) and they stay in cache
-        step = max(1, 65536 // n)
-        yield np.concatenate([statistic(_matrix(base, n, n_f, N, slice(a, a + step)))
+        step = max(1, _BLOCK // n)
+        yield np.concatenate([reduce(spec, _matrix(prefix, n, n_f, N, slice(a, a + step)))
                               for a in range(0, N, step)])
 
 

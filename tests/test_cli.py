@@ -279,6 +279,30 @@ class TestSourceUsageErrors:
         assert f"error: cannot read {path}:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("gen-table", "--method", "mg", "--n-max", "4", "--N", "99", "--R", "2"),
+        ("validate", "--method", "tippett", "--n", "3", "--nf", "0", "--N", "99"),
+        ("ecdf", "--method", "mg", "--n", "3", "--nf", "1", "--N", "99"),
+    ], ids=lambda a: a[0])
+    def test_unwritable_out_is_usage_error(self, argv, tmp_path):
+        # refused before any work: no table, verdict or ECDF is computed first
+        path = tmp_path / "absent" / "x.csv"
+        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *argv, "--out", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert f"error: cannot write {path}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_writable_out_check_leaves_no_file(self, tmp_path, capsys):
+        # the check creates the file only to remove it again; a later failure
+        # leaves nothing behind
+        path = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "gen-table", "--method", "mg", "--n-max", "4", "--N", "0",
+                         "--out", str(path))
+        assert code == 2
+        assert not path.exists()
+
     @pytest.mark.parametrize("meta", ["seed=abc", "N=", "R=1.5"])
     def test_bad_table_metadata_is_usage_error(self, meta, tmp_path):
         path = tmp_path / "fisher.csv"

@@ -145,6 +145,34 @@ class TestProperties:
             single = np.array([evaluate_statistic(spec(m), row) for row in pm])
             assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 7, 9, 26])
+    def test_score_then_reduce_is_the_textbook_formula(self, n):
+        # every statistic is an elementwise score and a row reduction; the
+        # split must round exactly as the formula written in one piece
+        P = np.random.default_rng(37 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
+        Z = normal_inv_cdf(P)
+
+        def gm(p):
+            return np.exp(np.mean(np.log(p), axis=-1))
+
+        textbook = {
+            spec(Method.TIPPETT): np.min(P, axis=-1),
+            spec(Method.FISHER): -2.0 * np.sum(np.log(P), axis=-1),
+            spec(Method.GEOMETRIC_MEAN): gm(P),
+            spec(Method.MIN_GEOMETRIC_MEANS): np.minimum(gm(P), gm(1.0 - P)),
+            spec(Method.STOUFFER): np.sum(Z, axis=-1) / np.sqrt(n),
+            spec(Method.WILKINSON): np.sort(P, axis=-1)[..., n - 1],
+            spec(Method.WILKINSON, k=1): np.sort(P, axis=-1)[..., 0],
+            spec(Method.WILKINSON, k=n): np.sort(P, axis=-1)[..., n - 1],
+            spec(Method.EDGINGTON): np.mean(P, axis=-1),
+            spec(Method.MUDHOLKAR_GEORGE): np.sum(np.log1p(-P) - np.log(P), axis=-1),
+            spec(Method.WILSON_HARMONIC): n / np.sum(1.0 / P, axis=-1),
+            spec(Method.CHEN): np.sum(Z * Z, axis=-1),
+        }
+        assert {s.method for s in textbook} == set(Method)
+        for s, want in textbook.items():
+            assert np.array_equal(evaluate_batch(s, P), want), s
+
     @pytest.mark.parametrize("method", [Method.STOUFFER, Method.CHEN])
     def test_score_statistic_on_probits(self, method):
         # the simulation applies the same function to drawn scores

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import metacrit.sampling as sampling
-from metacrit.methods import SCORE_STATISTICS, Method, MethodSpec, evaluate_batch
+from metacrit.estimation import simulate_cells
+from metacrit.methods import SCORE_STATISTICS, Method, MethodSpec, evaluate_batch, score
 from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix, sample_statistic
 from metacrit.special import DomainError
 
@@ -145,6 +146,28 @@ class TestStreams:
         else:
             whole = evaluate_batch(spec, sample_pmatrix(n, n_f, N, twin))
         assert np.array_equal(drawn, whole)
+
+    @pytest.mark.parametrize("method", [Method.MUDHOLKAR_GEORGE, Method.CHEN, Method.TIPPETT])
+    def test_each_value_scored_once_per_replica(self, method, monkeypatch):
+        # the pair minima of the longest fake region, then the prefix from the
+        # first value any cell reads as genuine; a lone cell scores its N·n values
+        seen = []
+
+        def counting_score(spec, x, out=None):
+            seen.append(x.size)
+            return score(spec, x, out=out)
+
+        monkeypatch.setattr(sampling, "score", counting_score)
+        spec, N, R = MethodSpec(method), 199, 2
+        cells = [(n, n_f) for n in range(3, 10) for n_f in range(min(n, 3) + 1)]
+        simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R) for n, n_f in cells])
+        max_nf, min_nf = max(f for _, f in cells), min(f for _, f in cells)
+        per_replica = N * max_nf + N * max(n + f for n, f in cells) - 2 * N * min_nf
+        assert sum(seen) == R * per_replica
+        for n, n_f in [(9, 3), (5, 0), (4, 4)]:
+            seen.clear()
+            simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R)])
+            assert sum(seen) == R * N * n
 
     def test_rejects_negative_keys(self):
         with pytest.raises(DomainError):

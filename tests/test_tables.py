@@ -303,10 +303,13 @@ class TestResolveQuantiles:
 class TestSharedDraws:
     # a table draws each replica's stream once; every cell reads its own prefix
     SIM = dict(N=199, R=3, seed=29)
-    METHODS = [("mg", True), ("chen", True), ("harmonic", True), ("wilkinson", False)]
+    # every method simulated in every cell, and chen once more with its exact
+    # n_f = 0 cells mixed in
+    METHODS = [(m.token, False) for m in Method] + [("chen", True)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("token, use_exact", METHODS, ids=[m for m, _ in METHODS])
+    @pytest.mark.parametrize("token, use_exact", METHODS,
+                             ids=[f"{m}-exact" if e else m for m, e in METHODS])
     def test_table_cell_equals_cell_alone(self, token, use_exact, workers):
         spec = MethodSpec(parse_method(token))
         table = generate_table(spec, n_min=3, n_max=9, use_exact=use_exact, workers=workers,
@@ -320,10 +323,12 @@ class TestSharedDraws:
                 assert cell.estimate == float(f"{est.estimate:.6g}")
                 assert cell.stderr == float(f"{est.stderr:.6g}")
 
-    @pytest.mark.parametrize("token", [m for m, _ in METHODS])
-    def test_shared_simulation_equals_cell_alone(self, token):
+    SPECS = [MethodSpec(m) for m in Method] + [MethodSpec(Method.WILKINSON, k=2)]
+
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=[s.method.token + (f"-k{s.k}" if s.k else "") for s in SPECS])
+    def test_shared_simulation_equals_cell_alone(self, spec):
         # largest cell first, so no cell's prefix ends the shared draw
-        spec = MethodSpec(parse_method(token))
         cfgs = [SimConfig(n=n, n_f=n_f, **self.SIM) for n, n_f in default_grid(3, 9)[::-1]]
         for cfg, estimates in zip(cfgs, simulate_cells(spec, cfgs)):
             assert estimates == simulate_quantiles(spec, cfg)
