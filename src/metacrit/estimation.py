@@ -99,7 +99,10 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
 
 def simulate_cells(spec: MethodSpec, cfgs) -> list[list[QuantileEstimate]]:
     """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
-    replicas, each drawing its stream once for all cells, aggregated per level."""
+    replicas, each drawing its stream once for all cells, aggregated per level.
+    An empty list of cells gives an empty list."""
+    if not cfgs:
+        return []
     if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
         raise DomainError("cells simulated together must share N, R and seed")
     replicas = [run_replica(spec, cfgs, r) for r in range(cfgs[0].R)]

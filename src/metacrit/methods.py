@@ -4,6 +4,15 @@ Every statistic is a pure, permutation-invariant function of a vector of
 p-values lying strictly inside (0, 1).  Each method carries a default
 rejection tail: the direction in which small individual p-values push the
 statistic.
+
+Each statistic is an elementwise score and a row reduction (``_SPLITS``).
+A reduction reads a row as parts, (..., k) arrays whose columns in turn make
+it up, and sums or minimises them with ``_fold``: one ufunc call per column,
+left to right, into a single accumulator.  A row's value is thus the same
+however it is split into parts or blocks of rows, though for rows of eight or
+more values not always the same in the last bits as numpy's ``np.sum``.  For
+one vector of n p-values that is n calls: O(n) Python overhead, about 7 ms
+at n = 10 000.
 """
 
 from __future__ import annotations
@@ -139,28 +148,43 @@ def _square(z, out=None):
     return np.multiply(z, z, out=out)
 
 
-def _gm(p):
-    # product via sum of logs; no underflow for any practical n
-    return np.exp(np.mean(np.log(p), axis=-1))
+def _fold(parts, op=np.add):
+    """Combine the columns of ``parts``, (..., k) arrays whose columns in turn
+    make up each row, left to right with the binary ufunc ``op``:
+    op(op(c0, c1), c2)...  One accumulator of the row shape is written in
+    place; no joined matrix is made."""
+    columns = (part[..., j] for part in parts for j in range(part.shape[-1]))
+    acc = np.array(next(columns))  # a copy: the fold writes into it
+    for column in columns:
+        op(acc, column, out=acc)
+    return acc
+
+
+def _gm(logs, n):
+    # the geometric mean from the parts' logs: no underflow for any practical n
+    return np.exp(_fold(logs) / n)
 
 
 # Every statistic is an elementwise score of the drawn values (p, or the
 # normal scores z = Phi^-1(p) for Stouffer and Chen) followed by a reduction
-# over the last axis of the scored (..., n) array.  A score may write in place
-# (out=x), so the simulation scores each value of a stream prefix once and
-# every cell reduces its own view of it.
+# of the rows that ``parts`` make up.  A score may write in place (out=x), so
+# the simulation scores each value of a stream prefix once and every cell
+# reduces two views of it: its fakes and its genuine values.
 _SPLITS = {
-    Method.TIPPETT: (np.positive, lambda s, spec: np.min(s, axis=-1)),
-    Method.FISHER: (np.log, lambda s, spec: -2.0 * np.sum(s, axis=-1)),
-    Method.GEOMETRIC_MEAN: (np.log, lambda s, spec: np.exp(np.mean(s, axis=-1))),
-    Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda s, spec: np.minimum(_gm(s), _gm(1.0 - s))),
-    Method.STOUFFER: (np.positive, lambda s, spec: np.sum(s, axis=-1) / np.sqrt(s.shape[-1])),
-    Method.WILKINSON: (np.positive, lambda s, spec:
-                       np.sort(s, axis=-1)[..., spec.resolve_k(s.shape[-1]) - 1]),
-    Method.EDGINGTON: (np.positive, lambda s, spec: np.mean(s, axis=-1)),
-    Method.MUDHOLKAR_GEORGE: (_mg_score, lambda s, spec: np.sum(s, axis=-1)),
-    Method.WILSON_HARMONIC: (_reciprocal, lambda s, spec: s.shape[-1] / np.sum(s, axis=-1)),
-    Method.CHEN: (_square, lambda s, spec: np.sum(s, axis=-1)),
+    Method.TIPPETT: (np.positive, lambda parts, n, spec: _fold(parts, np.minimum)),
+    Method.FISHER: (np.log, lambda parts, n, spec: -2.0 * _fold(parts)),
+    Method.GEOMETRIC_MEAN: (np.log, lambda parts, n, spec: _gm(parts, n)),
+    Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda parts, n, spec:
+                                 np.minimum(_gm([np.log(p) for p in parts], n),
+                                            _gm([np.log(1.0 - p) for p in parts], n))),
+    Method.STOUFFER: (np.positive, lambda parts, n, spec: _fold(parts) / np.sqrt(n)),
+    # the order statistic needs the whole row
+    Method.WILKINSON: (np.positive, lambda parts, n, spec:
+                       np.sort(np.concatenate(parts, axis=-1))[..., spec.resolve_k(n) - 1]),
+    Method.EDGINGTON: (np.positive, lambda parts, n, spec: _fold(parts) / n),
+    Method.MUDHOLKAR_GEORGE: (_mg_score, lambda parts, n, spec: _fold(parts)),
+    Method.WILSON_HARMONIC: (_reciprocal, lambda parts, n, spec: n / _fold(parts)),
+    Method.CHEN: (_square, lambda parts, n, spec: _fold(parts)),
 }
 
 
@@ -170,13 +194,14 @@ def score(spec: MethodSpec, x: np.ndarray, out=None) -> np.ndarray:
     return _SPLITS[spec.method][0](x, out=out)
 
 
-def reduce(spec: MethodSpec, scored: np.ndarray) -> np.ndarray:
-    """The statistic of each row of scored values (last axis)."""
-    return _SPLITS[spec.method][1](scored, spec)
+def reduce(spec: MethodSpec, parts) -> np.ndarray:
+    """The statistic of each row of scored values, given as ``parts``: a
+    tuple of (..., k) arrays whose columns, in turn, make up each row."""
+    return _SPLITS[spec.method][1](parts, sum(part.shape[-1] for part in parts), spec)
 
 
 def _statistic(spec: MethodSpec, x: np.ndarray) -> np.ndarray:
-    return reduce(spec, score(spec, x))
+    return reduce(spec, (score(spec, x),))
 
 
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws

@@ -19,10 +19,11 @@ prefix: the values a stream of its own would give.
 Every statistic is an elementwise score followed by a row reduction (see
 ``methods``).  A table therefore scores its prefix once as well: the fake
 pairs' minima, then in place every value that some cell reads as genuine.
-Each cell's matrix is a view of the scored values (joined with its fakes'
-minima when n_f > 0), reduced in row blocks.  A score depends on nothing but
-its element and every row keeps its layout, so each statistic is bit for bit
-the one a cell of its own computes.
+Each cell reduces all N rows at once from two views of the scored values,
+its fakes' minima and its genuine values, with no joined matrix.  A score
+depends on nothing but its element, and a reduction folds a row's columns
+left to right whatever views hold them, so each statistic is bit for bit the
+one a cell of its own computes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ DEFAULT_SEED = 20240101
 DEFAULT_Q_LEVELS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995)
 DEFAULT_N_SAMPLES = 4999
 DEFAULT_N_REPLICAS = 50
-_BLOCK = 65536  # values scored or reduced at a time
+_BLOCK = 65536  # values scored at a time
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,14 @@ def _prefix(cells, N: int, stream: np.random.Generator, scores: bool):
     return base, np.minimum(pairs[0::2], pairs[1::2])
 
 
-def _matrix(prefix, n: int, n_f: int, N: int, rows=slice(None)) -> np.ndarray:
-    """The ``rows`` of cell (n, n_f)'s (N, n) matrix from a ``_prefix``: its
-    n_f fakes (the minima of the prefix's first N·n_f pairs), then the genuine
-    (N, n - n_f) values that follow those pairs in the stream."""
+def _parts(prefix, n: int, n_f: int, N: int) -> tuple:
+    """Cell (n, n_f)'s (N, n) matrix from a ``_prefix`` as two views, its
+    columns in turn: the n_f fakes (the minima of the prefix's first N·n_f
+    pairs), then the genuine (N, n - n_f) values that follow those pairs in
+    the stream."""
     base, minima = prefix
-    genuine = base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f)[rows]
-    if not n_f:
-        return genuine
-    return np.concatenate([minima[:N * n_f].reshape(N, n_f)[rows], genuine], axis=1)
+    return (minima[:N * n_f].reshape(N, n_f),
+            base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f))
 
 
 def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
@@ -143,14 +143,16 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.
     Every statistic downstream is permutation invariant, so the placement
     is only a convention.
     """
-    return _matrix(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N)
+    return np.concatenate(_parts(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N), axis=1)
 
 
 def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
     """Yield N values of the statistic for each (n, n_f) of ``cells`` in turn,
     all read from one draw of the stream, scored once.  Stouffer and Chen get
     their normal scores drawn directly in the ``sample_pmatrix`` layout: no
-    probit runs."""
+    probit runs.  An empty list of cells draws and yields nothing."""
+    if not cells:
+        return
     prefix = base, minima = _prefix(cells, N, stream, scores=spec.method in SCORE_STATISTICS)
     # score each value some cell reads once: the pair minima, and in place the
     # prefix from 2N·min n_f on (no cell reads a genuine value before that);
@@ -161,11 +163,7 @@ def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
             block = values[a:a + _BLOCK]
             score(spec, block, out=block)
     for n, n_f in cells:
-        # blocks of <= 64Ki values: the allocator reuses their temporaries
-        # (larger ones are handed back and refaulted) and they stay in cache
-        step = max(1, _BLOCK // n)
-        yield np.concatenate([reduce(spec, _matrix(prefix, n, n_f, N, slice(a, a + step)))
-                              for a in range(0, N, step)])
+        yield reduce(spec, _parts(prefix, n, n_f, N))
 
 
 def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int,

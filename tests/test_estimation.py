@@ -141,6 +141,9 @@ class TestSimulateQuantiles:
         with pytest.raises(DomainError, match="share"):
             simulate_cells(spec, cfgs)
 
+    def test_no_cells_simulate_nothing(self):
+        assert simulate_cells(MethodSpec(Method.WILSON_HARMONIC), []) == []
+
     def test_deterministic(self):
         spec = MethodSpec(Method.WILSON_HARMONIC)
         cfg = SimConfig(n=3, n_f=1, N=500, R=4, seed=2024)

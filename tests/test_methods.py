@@ -16,6 +16,8 @@ from metacrit.methods import (
     evaluate_batch,
     evaluate_statistic,
     parse_method,
+    reduce,
+    score,
 )
 from metacrit.special import DomainError, normal_inv_cdf
 
@@ -152,26 +154,46 @@ class TestProperties:
         P = np.random.default_rng(37 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
         Z = normal_inv_cdf(P)
 
+        def colsum(x):
+            # left to right over the columns: ((x0 + x1) + x2) + ...
+            return sum(x[:, 1:].T, x[:, 0])
+
         def gm(p):
-            return np.exp(np.mean(np.log(p), axis=-1))
+            return np.exp(colsum(np.log(p)) / n)
 
         textbook = {
             spec(Method.TIPPETT): np.min(P, axis=-1),
-            spec(Method.FISHER): -2.0 * np.sum(np.log(P), axis=-1),
+            spec(Method.FISHER): -2.0 * colsum(np.log(P)),
             spec(Method.GEOMETRIC_MEAN): gm(P),
             spec(Method.MIN_GEOMETRIC_MEANS): np.minimum(gm(P), gm(1.0 - P)),
-            spec(Method.STOUFFER): np.sum(Z, axis=-1) / np.sqrt(n),
+            spec(Method.STOUFFER): colsum(Z) / np.sqrt(n),
             spec(Method.WILKINSON): np.sort(P, axis=-1)[..., n - 1],
             spec(Method.WILKINSON, k=1): np.sort(P, axis=-1)[..., 0],
             spec(Method.WILKINSON, k=n): np.sort(P, axis=-1)[..., n - 1],
-            spec(Method.EDGINGTON): np.mean(P, axis=-1),
-            spec(Method.MUDHOLKAR_GEORGE): np.sum(np.log1p(-P) - np.log(P), axis=-1),
-            spec(Method.WILSON_HARMONIC): n / np.sum(1.0 / P, axis=-1),
-            spec(Method.CHEN): np.sum(Z * Z, axis=-1),
+            spec(Method.EDGINGTON): colsum(P) / n,
+            spec(Method.MUDHOLKAR_GEORGE): colsum(np.log1p(-P) - np.log(P)),
+            spec(Method.WILSON_HARMONIC): n / colsum(1.0 / P),
+            spec(Method.CHEN): colsum(Z * Z),
         }
         assert {s.method for s in textbook} == set(Method)
         for s, want in textbook.items():
             assert np.array_equal(evaluate_batch(s, P), want), s
+
+    SPECS = [spec(m) for m in Method] + [spec(Method.WILKINSON, k=2)]
+
+    @pytest.mark.parametrize("s", SPECS, ids=[s.method.token + (f"-k{s.k}" if s.k else "")
+                                             for s in SPECS])
+    def test_reduction_ignores_how_rows_are_split(self, s):
+        # a cell reduces its fakes and its genuine values as two views: any
+        # split of the columns, and any blocks of rows, give the same bits
+        for n in (2, 9, 26):
+            P = np.random.default_rng(41 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
+            A = score(s, normal_inv_cdf(P) if s.method in SCORE_STATISTICS else P)
+            whole = reduce(s, (A,))
+            for k in range(n + 1):
+                assert np.array_equal(reduce(s, (A[:, :k], A[:, k:])), whole), (n, k)
+            blocks = np.concatenate([reduce(s, (A[a:a + 50],)) for a in range(0, len(A), 50)])
+            assert np.array_equal(blocks, whole)
 
     @pytest.mark.parametrize("method", [Method.STOUFFER, Method.CHEN])
     def test_score_statistic_on_probits(self, method):

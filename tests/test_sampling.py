@@ -131,10 +131,11 @@ class TestStreams:
             drawn = sample_statistic(MethodSpec(method), n, n_f, N, replica_stream(17, 3))
             assert np.array_equal(drawn, want)
 
-    @pytest.mark.parametrize("method", [Method.MUDHOLKAR_GEORGE, Method.CHEN])
+    @pytest.mark.parametrize("method", list(Method))
     def test_row_blocks_equal_whole_matrix(self, method):
-        # (26, 8) at N = 4999 is evaluated in row blocks; the statistic of
-        # the whole matrix at once must agree float for float
+        # (26, 8) at N = 4999 is scored in blocks and reduced from the fakes'
+        # and the genuine values' views; the statistic of the joined matrix at
+        # once must agree float for float
         n, n_f, N = 26, 8, 4999
         spec = MethodSpec(method)
         drawn = sample_statistic(spec, n, n_f, N, replica_stream(17, 3))
@@ -168,6 +169,11 @@ class TestStreams:
             seen.clear()
             simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R)])
             assert sum(seen) == R * N * n
+
+    def test_no_cells_draw_nothing(self):
+        stream = replica_stream(17, 3)
+        assert list(sampling.sample_cells(MethodSpec(Method.CHEN), [], 4999, stream)) == []
+        assert np.array_equal(stream.random(5), replica_stream(17, 3).random(5))
 
     def test_rejects_negative_keys(self):
         with pytest.raises(DomainError):
