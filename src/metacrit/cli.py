@@ -19,7 +19,7 @@ from .estimation import SIMULATED, QuantileEstimate
 from .exact import UnsupportedExactError, has_exact_quantile
 from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
 from .sampling import DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED
-from .special import BracketError, ConvergenceError, DomainError
+from .special import ConvergenceError, DomainError
 from .tables import (
     TableGenerationError,
     TableLookupError,
@@ -144,7 +144,7 @@ def _check_writable(path):
 
 
 def _fmt_critical(est: QuantileEstimate) -> str:
-    text = f"critical[q={est.q:g}] = {est.estimate:.6g} ({est.provenance}"
+    text = f"critical[q={est.q:.12g}] = {est.estimate:.6g} ({est.provenance}"
     if est.stderr is not None:
         text += f", stderr={est.stderr:.3g}"
     return text + ")"
@@ -374,8 +374,7 @@ def main(argv=None) -> int:
     except (TableParseError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableGenerationError, ConvergenceError, BracketError, OSError, ArithmeticError,
-            MemoryError) as err:
+    except (TableGenerationError, ConvergenceError, OSError, ArithmeticError, MemoryError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

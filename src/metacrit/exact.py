@@ -6,9 +6,9 @@ the maximum has CDF x^(n-n_f) (2x - x^2)^(n_f); with no fakes Fisher's
 statistic is chi-square(2n), Chen's chi-square(n), Stouffer's standard
 normal, the geometric mean a transformed Gamma(n, 1), and Edgington's mean
 follows the Irwin-Hall law (kept to n <= 12, comfortably before the
-alternating sum degrades).  A quantile without a closed form is the root of
-the law's CDF.  Everything else has no usable closed form and callers fall
-back to simulation.
+alternating sum degrades).  A quantile without a closed form is found by
+``special.invert_cdf`` from the law's CDF.  Everything else has no usable
+closed form and callers fall back to simulation.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .methods import Method, MethodSpec
 from .special import (
     DomainError,
     chisq_quantile,
-    find_root_bracketed,
     gamma_quantile,
+    invert_cdf,
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
@@ -71,7 +71,16 @@ def _irwin_hall_cdf(n: int, n_f: int, x):
 
 
 def _cdf_root(cdf, n: int, n_f: int, q: float) -> float:
-    return find_root_bracketed(lambda x: cdf(n, n_f, x) - q, 0.0, 1.0, tol=1e-12)
+    return invert_cdf(lambda x: float(cdf(n, n_f, x)), q, 0.0, 1.0)
+
+
+def _gm_quantile(n: int, n_f: int, q: float) -> float:
+    # -ln(prod P_k) is Gamma(n, 1) and the statistic exp(-G/n) falls as G
+    # grows, so this needs the Gamma's 1 - q quantile; below q = 2^-54,
+    # 1 - q rounds to 1 and the level is lost
+    if 1.0 - q == 1.0:
+        raise ArithmeticError(f"1 - q rounds to 1 at q={q:g}; the gm quantile is out of reach")
+    return math.exp(-gamma_quantile(n, 1.0 - q) / n)
 
 
 def _genuine_only(spec, n, n_f):
@@ -100,9 +109,8 @@ _LAWS = {
                   lambda n, n_f, x: reg_lower_gamma(n / 2.0, np.maximum(x, 0.0) / 2.0)),
     Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
                       lambda n, n_f, x: normal_cdf(x)),
-    # -ln(prod P_k) is Gamma(n, 1) and the statistic exp(-G/n) falls as G grows
     Method.GEOMETRIC_MEAN: (
-        _genuine_only, lambda n, n_f, q: math.exp(-gamma_quantile(n, 1.0 - q) / n),
+        _genuine_only, _gm_quantile,
         lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * np.log(np.clip(x, 1e-300, 1.0)))),
     Method.EDGINGTON: (lambda spec, n, n_f: n_f == 0 and 2 <= n <= EDGINGTON_MAX_N,
                        lambda n, n_f, q: _cdf_root(_irwin_hall_cdf, n, n_f, q),

@@ -18,7 +18,6 @@ at n = 10 000.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,14 +199,9 @@ def reduce(spec: MethodSpec, parts) -> np.ndarray:
     return _SPLITS[spec.method][1](parts, sum(part.shape[-1] for part in parts), spec)
 
 
-def _statistic(spec: MethodSpec, x: np.ndarray) -> np.ndarray:
-    return reduce(spec, (score(spec, x),))
-
-
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws
 # directly
-SCORE_STATISTICS = {m: functools.partial(_statistic, MethodSpec(m))
-                    for m in (Method.STOUFFER, Method.CHEN)}
+SCORE_STATISTICS = frozenset({Method.STOUFFER, Method.CHEN})
 
 
 def evaluate_batch(spec: MethodSpec, pmatrix: np.ndarray) -> np.ndarray:
@@ -218,7 +212,7 @@ def evaluate_batch(spec: MethodSpec, pmatrix: np.ndarray) -> np.ndarray:
         raise DomainError("p-value vectors must be non-empty")
     if spec.method in SCORE_STATISTICS:
         pmatrix = normal_inv_cdf(pmatrix)
-    return _statistic(spec, pmatrix)
+    return reduce(spec, (score(spec, pmatrix),))
 
 
 def evaluate_statistic(spec: MethodSpec, p) -> float:

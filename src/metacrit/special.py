@@ -1,5 +1,6 @@
 """Numerical special functions: normal CDF/quantile, regularized incomplete
-gamma, chi-square and gamma quantiles, and a bracketed root finder.
+gamma, chi-square and gamma quantiles, and ``invert_cdf``, the one solver
+that finds a quantile without a closed form as the root of its CDF.
 
 Everything here is pure and reentrant.  Each kernel is a scalar function,
 and one helper maps it over the elements of an array argument, so a scalar
@@ -7,7 +8,7 @@ and an array give identical values.  The normal CDF and quantile come from
 the standard library (``math.erfc`` and ``statistics.NormalDist``, which is
 Wichura's AS 241 in C); their callers pass scalars and short vectors, since
 the simulation draws normal scores directly.  The incomplete gamma's timed
-callers are the quantile root loops, which pass scalars.
+caller is ``invert_cdf`` inside ``gamma_quantile``, which passes scalars.
 """
 
 from __future__ import annotations
@@ -19,18 +20,19 @@ import numpy as np
 __all__ = [
     "DomainError",
     "ConvergenceError",
-    "BracketError",
     "normal_cdf",
     "normal_inv_cdf",
     "reg_lower_gamma",
     "gamma_quantile",
     "chisq_quantile",
-    "find_root_bracketed",
+    "invert_cdf",
 ]
 
 _MAX_SERIES_ITER = 500
 _MAX_CF_ITER = 500
-_MAX_INVERT_ITER = 200
+# room for bisection alone to reach any positive double: 1074 halvings take
+# a unit bracket down to the smallest subnormal
+_MAX_INVERT_ITER = 1100
 _TINY = 1e-300
 
 
@@ -42,14 +44,10 @@ class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its deterministic cap."""
 
 
-class BracketError(ValueError):
-    """Root finder called without a sign change on the bracket."""
-
-
 def _map(f, x):
     # a scalar or 0-d x gives a float; an array maps f over its elements and
     # keeps its shape.  np.isscalar goes first: np.ndim on a Python float
-    # builds an array, which would double the cost of the gamma root loops
+    # builds an array, which would double the cost of a scalar call
     if np.isscalar(x) or np.ndim(x) == 0:
         return f(float(x))
     arr = np.asarray(x, dtype=float)
@@ -167,46 +165,59 @@ def normal_inv_cdf(p):
 # quantile inversion
 # ---------------------------------------------------------------------------
 
-def gamma_quantile(shape, q):
-    """Quantile of the Gamma(shape, 1) distribution.
+def invert_cdf(cdf, q, lo, hi):
+    """The x >= lo with cdf(x) = q, for a nondecreasing scalar ``cdf``.
 
-    Bisection start with Newton polish; converges to 1e-12 on the
-    probability scale with a deterministic iteration cap.
+    Returns ``lo`` when cdf(lo) >= q.  Otherwise ``hi`` doubles until
+    cdf(hi) >= q, and Illinois regula falsi (Dowell & Jarratt, BIT 11:168,
+    1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  It
+    stops when |cdf(x) - q| <= 1e-12 * min(q, 1 - q), so lower tails keep
+    relative accuracy, or when the bracket is 1e-15 of ``hi`` wide.
     """
+    tol = 1e-12 * min(q, 1.0 - q)
+    flo = cdf(lo) - q
+    if flo >= 0.0:
+        return lo
+    fhi = cdf(hi) - q
+    for _ in range(_MAX_INVERT_ITER):
+        if fhi >= 0.0:
+            break
+        lo, flo, hi = hi, fhi, 2.0 * hi
+        fhi = cdf(hi) - q
+    else:
+        raise ConvergenceError("could not bracket the quantile")
+    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    for _ in range(_MAX_INVERT_ITER):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = cdf(x) - q
+        if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
+            return x
+        # Illinois: an end kept twice in a row has its value halved, so the
+        # other end cannot stall
+        if fx > 0.0:
+            hi, fhi = x, fx
+            flo = 0.5 * flo if kept == -1 else flo
+            kept = -1
+        else:
+            lo, flo = x, fx
+            fhi = 0.5 * fhi if kept == 1 else fhi
+            kept = 1
+    raise ConvergenceError("quantile inversion did not converge")
+
+
+def gamma_quantile(shape, q):
+    """Quantile of the Gamma(shape, 1) distribution, by ``invert_cdf`` from
+    a bracket that holds the central quantiles."""
     shape = float(shape)
     if shape <= 0.0:
         raise DomainError("shape parameter must be positive")
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError("quantile level must lie strictly inside (0, 1)")
-
-    lo = 0.0
-    hi = shape + 10.0 * math.sqrt(shape) + 10.0
-    for _ in range(200):
-        if reg_lower_gamma(shape, hi) >= q:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("could not bracket gamma quantile")
-
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_INVERT_ITER):
-        f = reg_lower_gamma(shape, x) - q
-        if abs(f) <= 1e-12:
-            return x
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        pdf = math.exp((shape - 1.0) * math.log(x) - x - math.lgamma(shape)) if x > 0 else 0.0
-        if pdf > 0.0:
-            step = x - f / pdf
-            x = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            return x
-    raise ConvergenceError("gamma quantile inversion did not converge")
+    return invert_cdf(lambda x: _reg_lower_gamma_point(shape, x), q,
+                      0.0, shape + 10.0 * math.sqrt(shape) + 10.0)
 
 
 def chisq_quantile(df, q):
@@ -218,34 +229,3 @@ def chisq_quantile(df, q):
     if df < 1.0:
         raise DomainError("degrees of freedom must be >= 1")
     return 2.0 * gamma_quantile(df / 2.0, q)
-
-
-def find_root_bracketed(f, lo, hi, tol=1e-12):
-    """Deterministic bisection for a continuous f with a sign change on [lo, hi].
-
-    Stops when |f(x)| <= tol or the bracket width falls below tol.
-    """
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
-    lo = float(lo)
-    hi = float(hi)
-    if not (lo < hi):
-        raise DomainError("need lo < hi")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError("no sign change on the bracket")
-    for _ in range(_MAX_INVERT_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if (fmid > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    raise ConvergenceError("bisection did not converge")

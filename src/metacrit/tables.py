@@ -28,7 +28,7 @@ from .sampling import (
     DEFAULT_SEED,
     SimConfig,
 )
-from .special import BracketError, ConvergenceError, DomainError
+from .special import ConvergenceError, DomainError
 
 __all__ = [
     "TableCell",
@@ -181,8 +181,8 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
 
 
 # numeric and domain failures of a job; anything else is a bug and propagates
-_CELL_FAILURES = (DomainError, RankError, ConvergenceError, BracketError,
-                  UnsupportedExactError, ArithmeticError, MemoryError)
+_CELL_FAILURES = (DomainError, RankError, ConvergenceError, UnsupportedExactError,
+                  ArithmeticError, MemoryError)
 
 
 def _cells_worker(args):

@@ -141,6 +141,18 @@ class TestCombine:
         assert "statistic = 0" in out
         assert "decision: retain" in out
 
+    def test_level_label(self, capsys):
+        # 1 - 1e-7 keeps its digits; complements such as 1 - 0.07 print short
+        code, out, _ = run(capsys, "combine", "--method", "fisher", "--nf", "0",
+                           "--alpha", "1e-7", "--p", "0.5,0.5,0.5")
+        assert code == 0
+        assert "critical[q=0.9999999] = " in out
+        code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "0",
+                           "--alpha", "0.14", "--p", "0.5,0.5,0.5")
+        assert code == 0
+        assert "critical[q=0.07] = " in out
+        assert "critical[q=0.93] = " in out
+
     def test_json_record(self, capsys):
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "0",
                            "--alpha", "0.05", "--p", "0.2,0.7,0.4", "--json")

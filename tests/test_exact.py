@@ -2,10 +2,12 @@
 identities, and a sampler check through the fake-sample Fisher transform."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from metacrit.exact import (
     UnsupportedExactError,
@@ -16,7 +18,7 @@ from metacrit.exact import (
     wilkinson_max_quantile,
 )
 from metacrit.methods import Method, MethodSpec
-from metacrit.sampling import replica_stream, sample_pmatrix
+from metacrit.sampling import DEFAULT_Q_LEVELS, replica_stream, sample_pmatrix
 
 
 def spec(method, **kw):
@@ -56,13 +58,18 @@ class TestSupportMatrix:
 
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
     def test_law_table_agrees_with_itself(self, method):
-        # the support predicate, the quantile and the CDF come from one entry
+        # the support predicate, the quantile and the CDF come from one
+        # entry, and the quantile inverts the CDF to 1e-11 of the nearer tail
         s = spec(method)
         for n in range(1, 27):
             for n_f in range(n + 1):
                 if has_exact_quantile(s, n, n_f):
-                    assert math.isfinite(exact_quantile(s, n, n_f, 0.5))
                     assert 0.0 <= exact_cdf(s, n, n_f, 0.5) <= 1.0
+                    for q in DEFAULT_Q_LEVELS:
+                        x = exact_quantile(s, n, n_f, q)
+                        assert math.isfinite(x)
+                        err = abs(float(exact_cdf(s, n, n_f, x)) - q)
+                        assert err <= 1e-11 * min(q, 1.0 - q), (n, n_f, q)
                     continue
                 with pytest.raises(UnsupportedExactError):
                     exact_quantile(s, n, n_f, 0.5)
@@ -159,6 +166,53 @@ class TestGenuineOnlyLaws:
         for f in funcs:
             vals = [f(q) for q in qs]
             assert np.all(np.diff(vals) > 0)
+
+
+def _wilkinson_5_2(q):
+    return optimize.brentq(lambda x: x**3 * (2 * x - x * x) ** 2 - q, 0.0, 1.0,
+                           xtol=1e-300, rtol=1e-15)
+
+
+# law, n, n_f and an independent oracle of the quantile at level q
+_ORACLES = {
+    "fisher-3": (Method.FISHER, 3, 0, lambda q: stats.chi2.ppf(q, 6)),
+    "chen-1": (Method.CHEN, 1, 0, lambda q: stats.chi2.ppf(q, 1)),
+    "chen-4": (Method.CHEN, 4, 0, lambda q: stats.chi2.ppf(q, 4)),
+    "wilkinson-5-2": (Method.WILKINSON, 5, 2, _wilkinson_5_2),
+    "edgington-5": (Method.EDGINGTON, 5, 0, lambda q: (120 * q) ** (1 / 5) / 5),
+    "gm-26": (Method.GEOMETRIC_MEAN, 26, 0, lambda q: math.exp(-stats.gamma.ppf(1 - q, 26) / 26)),
+}
+
+
+class TestTails:
+    # lower tails keep relative accuracy down to q = 1e-50.  Edgington's
+    # oracle is its lower-tail closed form, and GM's lower tail needs 1 - q,
+    # so each is checked on one side only; at 1 - 1e-7 the oracles see the
+    # same rounded q
+    @pytest.mark.parametrize("case, q", [
+        *[(case, q) for case in ("fisher-3", "chen-1", "chen-4", "wilkinson-5-2", "edgington-5")
+          for q in (1e-7, 1e-10, 1e-50)],
+        *[(case, 1 - 1e-7) for case in ("fisher-3", "chen-1", "chen-4", "wilkinson-5-2", "gm-26")],
+    ])
+    def test_against_oracle(self, case, q):
+        method, n, n_f, oracle = _ORACLES[case]
+        assert quantile(method, n, n_f, q) == pytest.approx(oracle(q), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("method, n, n_f", [
+        (Method.TIPPETT, 5, 0), (Method.TIPPETT, 5, 2), (Method.WILKINSON, 5, 0),
+        (Method.WILKINSON, 5, 2), (Method.FISHER, 5, 0), (Method.CHEN, 5, 0),
+        (Method.CHEN, 1, 0), (Method.STOUFFER, 5, 0), (Method.GEOMETRIC_MEAN, 5, 0),
+        (Method.EDGINGTON, 5, 0),
+    ], ids=lambda v: v.token if isinstance(v, Method) else str(v))
+    def test_extreme_level_is_answered_or_refused(self, method, n, n_f):
+        # q = 1e-300 ends in a value (0) or a numeric failure (1), never a
+        # traceback: Chen's n = 1 quantile, about 1.6e-600, underflows
+        proc = subprocess.run(
+            [sys.executable, "-m", "metacrit.cli", "critical", "--method", method.token,
+             "--n", str(n), "--nf", str(n_f), "--q", "1e-300", "--exact"],
+            capture_output=True, text=True)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEdgington:

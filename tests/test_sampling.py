@@ -8,7 +8,8 @@ import pytest
 
 import metacrit.sampling as sampling
 from metacrit.estimation import simulate_cells
-from metacrit.methods import SCORE_STATISTICS, Method, MethodSpec, evaluate_batch, score
+from metacrit.methods import (SCORE_STATISTICS, Method, MethodSpec, evaluate_batch, reduce,
+                              score)
 from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix, sample_statistic
 from metacrit.special import DomainError
 
@@ -143,7 +144,7 @@ class TestStreams:
         if method in SCORE_STATISTICS:
             fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
             z = np.concatenate([fakes, twin.standard_normal((N, n - n_f))], axis=1)
-            whole = SCORE_STATISTICS[method](z)
+            whole = reduce(spec, (score(spec, z),))
         else:
             whole = evaluate_batch(spec, sample_pmatrix(n, n_f, N, twin))
         assert np.array_equal(drawn, whole)

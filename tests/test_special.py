@@ -1,5 +1,6 @@
 """Special-function kernel against scipy oracles and its own invariants."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -7,16 +8,20 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
+import metacrit.exact as exact
+from metacrit.methods import Method, MethodSpec
+from metacrit.sampling import DEFAULT_Q_LEVELS
 from metacrit.special import (
-    BracketError,
+    ConvergenceError,
     DomainError,
     chisq_quantile,
-    find_root_bracketed,
     gamma_quantile,
+    invert_cdf,
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
 )
+from metacrit.tables import default_grid
 
 
 class TestNormalCdf:
@@ -194,21 +199,57 @@ class TestQuantiles:
 
 class TestRootFinder:
     def test_linear(self):
-        assert find_root_bracketed(lambda x: x - 0.3, 0, 1) == pytest.approx(0.3, abs=1e-10)
+        assert invert_cdf(lambda x: x, 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
 
     def test_sqrt2(self):
-        root = find_root_bracketed(lambda x: x * x - 2.0, 0, 2)
-        assert root == pytest.approx(np.sqrt(2), abs=1e-10)
+        # x^2 / 4 is a CDF on [0, 2] with median sqrt(2)
+        root = invert_cdf(lambda x: x * x / 4.0, 0.5, 0.0, 2.0)
+        assert root == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_max_statistic_cell(self):
         # x^3 (2 - x) is the n=3, n_f=1 maximum-statistic CDF
-        root = find_root_bracketed(lambda x: x**3 * (2 - x) - 0.9, 0, 1)
+        root = invert_cdf(lambda x: x**3 * (2 - x), 0.9, 0.0, 1.0)
         assert abs(root - 0.95001) <= 3 * 0.00031
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x + 1.0, 0, 1)
+        # a CDF that never reaches q leaves no bracket to shrink
+        with pytest.raises(ConvergenceError):
+            invert_cdf(lambda x: 0.5, 0.9, 0.0, 1.0)
 
-    def test_bad_tol(self):
-        with pytest.raises(DomainError):
-            find_root_bracketed(lambda x: x, 0, 1, tol=0.0)
+    def test_grows_bracket(self):
+        # 1 - e^-x reaches 0.999 only at x = ln 1000, past three doublings of hi
+        root = invert_cdf(lambda x: -math.expm1(-x), 0.999, 0.0, 1.0)
+        assert root == pytest.approx(math.log(1000.0), rel=1e-12)
+
+    def test_returns_lo_when_already_reached(self):
+        seen = []
+
+        def cdf(x):
+            seen.append(x)
+            return x
+
+        assert invert_cdf(cdf, 0.3, 0.5, 1.0) == 0.5
+        assert seen == [0.5]
+
+    @pytest.mark.parametrize("method", [Method.WILKINSON, Method.EDGINGTON],
+                             ids=lambda m: m.token)
+    def test_cdf_evaluations_per_quantile(self, method, monkeypatch):
+        # the exact rows found as a root, Wilkinson with fakes and Edgington,
+        # on the default grid: bisection took 42-43 CDF evaluations each
+        counts = []
+
+        def counting(cdf, q, lo, hi):
+            def counted(x):
+                counts[-1] += 1
+                return cdf(x)
+
+            counts.append(0)
+            return invert_cdf(counted, q, lo, hi)
+
+        monkeypatch.setattr(exact, "invert_cdf", counting)
+        s = MethodSpec(method)
+        for n, n_f in default_grid():
+            if exact.has_exact_quantile(s, n, n_f):
+                for q in DEFAULT_Q_LEVELS:
+                    exact.exact_quantile(s, n, n_f, q)
+        assert counts and max(counts) <= 30
