@@ -30,7 +30,7 @@ from .tables import (
     write_csv,
 )
 
-__all__ = ["main", "Decision"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1

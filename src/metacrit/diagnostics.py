@@ -16,7 +16,6 @@ from .sampling import replica_stream, sample_statistic
 from .special import DomainError
 
 __all__ = [
-    "EcdfDump",
     "ecdf",
     "ks_distance",
     "ks_critical_value",
@@ -38,29 +37,21 @@ class EcdfDump:
     n_f: int
     N: int
     seed: int
-    replica: int
 
 
-def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int, replica: int = 0) -> EcdfDump:
-    """One replica's empirical distribution of the combined statistic."""
-    stream = replica_stream(seed, replica)
-    stats = np.sort(sample_statistic(spec, n, n_f, N, stream))
+def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int) -> EcdfDump:
+    """The empirical distribution of the combined statistic in the seed's
+    first replica."""
+    stats = np.sort(sample_statistic(spec, n, n_f, N, replica_stream(seed, 0)))
     heights = np.arange(1, N + 1) / N
-    return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f,
-                    N=N, seed=seed, replica=replica)
+    return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f, N=N, seed=seed)
 
 
-def ks_distance(dump: EcdfDump, cdf=None) -> float:
-    """Kolmogorov-Smirnov distance between the dump and an exact CDF.
-
-    Both one-sided gaps are taken at every jump.  When ``cdf`` is omitted
-    the exact law for (method, n, n_f) is used; exact_cdf raises
-    UnsupportedExactError when there is none.
-    """
-    if cdf is None:
-        theo = np.asarray(exact_cdf(dump.spec, dump.n, dump.n_f, dump.values), dtype=float)
-    else:
-        theo = np.asarray(cdf(dump.values), dtype=float)
+def ks_distance(dump: EcdfDump) -> float:
+    """Kolmogorov-Smirnov distance between the dump and the exact law for
+    (method, n, n_f); exact_cdf raises UnsupportedExactError when there is
+    none.  Both one-sided gaps are taken at every jump."""
+    theo = np.asarray(exact_cdf(dump.spec, dump.n, dump.n_f, dump.values), dtype=float)
     upper = np.max(dump.heights - theo)
     lower = np.max(theo - (dump.heights - 1.0 / dump.N))
     return float(max(upper, lower, 0.0))

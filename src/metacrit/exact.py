@@ -1,14 +1,14 @@
 """Closed-form and semi-analytic null quantiles/CDFs where they exist.
 
 Each exact law is one row of ``_LAWS``: where it applies, its quantile and
-its CDF.  With n_f fakes the minimum is Beta(1, n + n_f) for any n_f, and
-the maximum has CDF x^(n-n_f) (2x - x^2)^(n_f); with no fakes Fisher's
-statistic is chi-square(2n), Chen's chi-square(n), Stouffer's standard
-normal, the geometric mean a transformed Gamma(n, 1), and Edgington's mean
-follows the Irwin-Hall law (kept to n <= 12, comfortably before the
-alternating sum degrades).  A quantile without a closed form is found by
-``special.invert_cdf`` from the law's CDF.  Everything else has no usable
-closed form and callers fall back to simulation.
+its CDF.  With n_f fakes Tippett's minimum is Beta(1, n + n_f) and
+Wilkinson's maximum has CDF x^(n-n_f) (2x - x^2)^(n_f), for any n_f; with no
+fakes Fisher's statistic is chi-square(2n), Chen's chi-square(n), Stouffer's
+standard normal, the geometric mean a transformed Gamma(n, 1), and
+Edgington's mean follows the Irwin-Hall law (kept to n <= 12, comfortably
+before the alternating sum degrades).  A quantile without a closed form is
+found by ``special.invert_cdf`` from the law's CDF.  Everything else has no
+usable closed form and callers fall back to simulation.
 """
 
 from __future__ import annotations
@@ -83,23 +83,24 @@ def _gm_quantile(n: int, n_f: int, q: float) -> float:
     return math.exp(-gamma_quantile(n, 1.0 - q) / n)
 
 
-def _genuine_only(spec, n, n_f):
+def _genuine_only(n, n_f):
     return n_f == 0
 
 
-# Tippett and Wilkinson-with-k=n for any n_f; Fisher, Chen, Stouffer and the
-# geometric mean only with n_f = 0; Edgington with n_f = 0 and n <= 12
-# (oracle-grade).  The Wilkinson path with fakes is a derived closed form the
-# published tables only simulate; provenance stays distinguishable through
-# the table generator's metadata.  A method missing here has no exact law.
+# Tippett and Wilkinson for any n_f; Fisher, Chen, Stouffer and the geometric
+# mean only with n_f = 0; Edgington with n_f = 0 and n <= 12 (oracle-grade).
+# The Wilkinson path with fakes is a derived closed form the published tables
+# only simulate; provenance stays distinguishable through the table
+# generator's metadata.  A method missing here has no exact law.
 #
-# method -> (supports(spec, n, n_f), quantile(n, n_f, q), cdf(n, n_f, x)),
+# method -> (supports(n, n_f), quantile(n, n_f, q), cdf(n, n_f, x)),
 # where q is a checked float and the CDF receives x as a float array
 _LAWS = {
-    Method.TIPPETT: (lambda spec, n, n_f: True,
-                     lambda n, n_f, q: 1.0 - (1.0 - q) ** (1.0 / (n + n_f)),
+    # 1 - (1 - q)^(1/(n + n_f)), by log1p and expm1 so no lower-tail q rounds away
+    Method.TIPPETT: (lambda n, n_f: True,
+                     lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f)),
                      lambda n, n_f, x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (n + n_f)),
-    Method.WILKINSON: (lambda spec, n, n_f: spec.resolve_k(n) == n,
+    Method.WILKINSON: (lambda n, n_f: True,
                        lambda n, n_f, q: (q ** (1.0 / n) if n_f == 0
                                           else _cdf_root(_wilkinson_cdf, n, n_f, q)),
                        _wilkinson_cdf),
@@ -112,7 +113,7 @@ _LAWS = {
     Method.GEOMETRIC_MEAN: (
         _genuine_only, _gm_quantile,
         lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * np.log(np.clip(x, 1e-300, 1.0)))),
-    Method.EDGINGTON: (lambda spec, n, n_f: n_f == 0 and 2 <= n <= EDGINGTON_MAX_N,
+    Method.EDGINGTON: (lambda n, n_f: n_f == 0 and 2 <= n <= EDGINGTON_MAX_N,
                        lambda n, n_f, q: _cdf_root(_irwin_hall_cdf, n, n_f, q),
                        _irwin_hall_cdf),
 }
@@ -122,7 +123,7 @@ def has_exact_quantile(spec: MethodSpec, n: int, n_f: int) -> bool:
     """Whether an exact law exists for (method, n, n_f)."""
     _check_grid(n, n_f)
     law = _LAWS.get(spec.method)
-    return law is not None and law[0](spec, n, n_f)
+    return law is not None and law[0](n, n_f)
 
 
 def _law(spec: MethodSpec, n: int, n_f: int) -> tuple:
@@ -148,7 +149,7 @@ def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
 
 
 def wilkinson_max_quantile(n: int, n_f: int, q: float) -> float:
-    """Quantile of the maximum statistic (the exact Wilkinson law with k = n)."""
+    """Quantile of Wilkinson's maximum statistic."""
     return exact_quantile(MethodSpec(Method.WILKINSON), n, n_f, q)
 
 

@@ -7,8 +7,8 @@ statistic.
 
 Each statistic is an elementwise score and a row reduction (``_SPLITS``).
 A reduction reads a row as parts, (..., k) arrays whose columns in turn make
-it up, and sums or minimises them with ``_fold``: one ufunc call per column,
-left to right, into a single accumulator.  A row's value is thus the same
+it up, and sums, minimises or maximises them with ``_fold``: one ufunc call
+per column, left to right, into a single accumulator.  A row's value is thus the same
 however it is split into parts or blocks of rows, though for rows of eight or
 more values not always the same in the last bits as numpy's ``np.sum``.  For
 one vector of n p-values that is n calls: O(n) Python overhead, about 7 ms
@@ -28,19 +28,13 @@ __all__ = [
     "Method",
     "Tail",
     "MethodSpec",
-    "RankError",
     "parse_method",
     "evaluate_statistic",
     "evaluate_batch",
     "score",
     "reduce",
     "SCORE_STATISTICS",
-    "validate_pvector",
 ]
-
-
-class RankError(ValueError):
-    """Order-statistic rank outside 1..n."""
 
 
 class Method(enum.Enum):
@@ -96,40 +90,15 @@ def parse_method(name: str) -> Method:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A combined test: method id, rejection tail, and (Wilkinson only) the
-    order-statistic rank k.  ``k=None`` for Wilkinson means k = n at
-    evaluation time, the tabulated maximum statistic."""
+    """A combined test: method id and rejection tail (the method's default
+    tail when omitted)."""
 
     method: Method
     tail: Tail = None  # type: ignore[assignment]
-    k: int | None = None
 
     def __post_init__(self):
         if self.tail is None:
             object.__setattr__(self, "tail", DEFAULT_TAILS[self.method])
-        if self.k is not None:
-            if self.method is not Method.WILKINSON:
-                raise RankError("rank k only applies to the Wilkinson method")
-            if int(self.k) < 1:
-                raise RankError("rank k must be a positive integer")
-            object.__setattr__(self, "k", int(self.k))
-
-    def resolve_k(self, n: int) -> int:
-        k = n if self.k is None else self.k
-        if not (1 <= k <= n):
-            raise RankError(f"rank k={k} outside 1..{n}")
-        return k
-
-
-def validate_pvector(p) -> np.ndarray:
-    """Return p as a float vector after checking every entry is strictly
-    inside (0, 1).  Values at exactly 0 or 1 are rejected, not clamped."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError("p-value vector must be one-dimensional and non-empty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("every p-value must lie strictly inside (0, 1)")
-    return arr
 
 
 def _mg_score(p, out=None):
@@ -170,20 +139,18 @@ def _gm(logs, n):
 # the simulation scores each value of a stream prefix once and every cell
 # reduces two views of it: its fakes and its genuine values.
 _SPLITS = {
-    Method.TIPPETT: (np.positive, lambda parts, n, spec: _fold(parts, np.minimum)),
-    Method.FISHER: (np.log, lambda parts, n, spec: -2.0 * _fold(parts)),
-    Method.GEOMETRIC_MEAN: (np.log, lambda parts, n, spec: _gm(parts, n)),
-    Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda parts, n, spec:
+    Method.TIPPETT: (np.positive, lambda parts, n: _fold(parts, np.minimum)),
+    Method.FISHER: (np.log, lambda parts, n: -2.0 * _fold(parts)),
+    Method.GEOMETRIC_MEAN: (np.log, lambda parts, n: _gm(parts, n)),
+    Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda parts, n:
                                  np.minimum(_gm([np.log(p) for p in parts], n),
                                             _gm([np.log(1.0 - p) for p in parts], n))),
-    Method.STOUFFER: (np.positive, lambda parts, n, spec: _fold(parts) / np.sqrt(n)),
-    # the order statistic needs the whole row
-    Method.WILKINSON: (np.positive, lambda parts, n, spec:
-                       np.sort(np.concatenate(parts, axis=-1))[..., spec.resolve_k(n) - 1]),
-    Method.EDGINGTON: (np.positive, lambda parts, n, spec: _fold(parts) / n),
-    Method.MUDHOLKAR_GEORGE: (_mg_score, lambda parts, n, spec: _fold(parts)),
-    Method.WILSON_HARMONIC: (_reciprocal, lambda parts, n, spec: n / _fold(parts)),
-    Method.CHEN: (_square, lambda parts, n, spec: _fold(parts)),
+    Method.STOUFFER: (np.positive, lambda parts, n: _fold(parts) / np.sqrt(n)),
+    Method.WILKINSON: (np.positive, lambda parts, n: _fold(parts, np.maximum)),
+    Method.EDGINGTON: (np.positive, lambda parts, n: _fold(parts) / n),
+    Method.MUDHOLKAR_GEORGE: (_mg_score, lambda parts, n: _fold(parts)),
+    Method.WILSON_HARMONIC: (_reciprocal, lambda parts, n: n / _fold(parts)),
+    Method.CHEN: (_square, lambda parts, n: _fold(parts)),
 }
 
 
@@ -196,7 +163,7 @@ def score(spec: MethodSpec, x: np.ndarray, out=None) -> np.ndarray:
 def reduce(spec: MethodSpec, parts) -> np.ndarray:
     """The statistic of each row of scored values, given as ``parts``: a
     tuple of (..., k) arrays whose columns, in turn, make up each row."""
-    return _SPLITS[spec.method][1](parts, sum(part.shape[-1] for part in parts), spec)
+    return _SPLITS[spec.method][1](parts, sum(part.shape[-1] for part in parts))
 
 
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws
@@ -216,6 +183,12 @@ def evaluate_batch(spec: MethodSpec, pmatrix: np.ndarray) -> np.ndarray:
 
 
 def evaluate_statistic(spec: MethodSpec, p) -> float:
-    """Evaluate one combined test statistic on a vector of p-values."""
-    arr = validate_pvector(p)
+    """Evaluate one combined test statistic on a vector of p-values, each
+    strictly inside (0, 1): values at exactly 0 or 1 are rejected, not
+    clamped."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DomainError("p-value vector must be one-dimensional and non-empty")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise DomainError("every p-value must lie strictly inside (0, 1)")
     return float(evaluate_batch(spec, arr))

@@ -172,7 +172,9 @@ def invert_cdf(cdf, q, lo, hi):
     cdf(hi) >= q, and Illinois regula falsi (Dowell & Jarratt, BIT 11:168,
     1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  It
     stops when |cdf(x) - q| <= 1e-12 * min(q, 1 - q), so lower tails keep
-    relative accuracy, or when the bracket is 1e-15 of ``hi`` wide.
+    relative accuracy, or when the bracket is 1e-15 of ``hi`` wide, and
+    raises ``ConvergenceError`` when the quantile underflows: the bracket is
+    two adjacent subnormals, still wider than that.
     """
     tol = 1e-12 * min(q, 1.0 - q)
     flo = cdf(lo) - q
@@ -191,6 +193,10 @@ def invert_cdf(cdf, q, lo, hi):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
+            # two adjacent doubles the width test cannot stop on: subnormals
+            if not lo < x < hi and hi - lo > 1e-15 * hi:
+                raise ConvergenceError(f"the quantile at q={q:g} underflows: no double lies "
+                                       f"strictly between {lo:g} and {hi:g}")
         fx = cdf(x) - q
         if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
             return x

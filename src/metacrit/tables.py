@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
-from .methods import Method, MethodSpec, RankError, parse_method
+from .methods import Method, MethodSpec, parse_method
 from .sampling import (
     DEFAULT_N_REPLICAS,
     DEFAULT_N_SAMPLES,
@@ -31,8 +31,6 @@ from .sampling import (
 from .special import ConvergenceError, DomainError
 
 __all__ = [
-    "TableCell",
-    "CriticalValueTable",
     "TableLookupError",
     "TableParseError",
     "TableGenerationError",
@@ -181,8 +179,8 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
 
 
 # numeric and domain failures of a job; anything else is a bug and propagates
-_CELL_FAILURES = (DomainError, RankError, ConvergenceError, UnsupportedExactError,
-                  ArithmeticError, MemoryError)
+_CELL_FAILURES = (DomainError, ConvergenceError, UnsupportedExactError, ArithmeticError,
+                  MemoryError)
 
 
 def _cells_worker(args):

@@ -35,8 +35,7 @@ class TestKsDistance:
         qs = (np.arange(1, N + 1) - 0.5) / N
         vals = np.array([exact_quantile(MethodSpec(Method.TIPPETT), 5, 3, q) for q in qs])
         dump = EcdfDump(values=vals, heights=np.arange(1, N + 1) / N,
-                        spec=MethodSpec(Method.TIPPETT), n=5, n_f=3, N=N,
-                        seed=0, replica=0)
+                        spec=MethodSpec(Method.TIPPETT), n=5, n_f=3, N=N, seed=0)
         assert ks_distance(dump) <= 1.0 / N
 
     def test_simulated_tippett_fits_beta(self):
@@ -47,19 +46,13 @@ class TestKsDistance:
         # single point at the null median (z = 0): ECDF jumps 0 -> 1 across
         # CDF = 0.5
         dump = EcdfDump(values=np.array([0.0]), heights=np.array([1.0]),
-                        spec=MethodSpec(Method.STOUFFER), n=3, n_f=0, N=1,
-                        seed=0, replica=0)
+                        spec=MethodSpec(Method.STOUFFER), n=3, n_f=0, N=1, seed=0)
         assert ks_distance(dump) == pytest.approx(0.5, abs=1e-12)
 
     def test_unsupported_law(self):
         dump = ecdf(MethodSpec(Method.MUDHOLKAR_GEORGE), 3, 0, 10, seed=3)
         with pytest.raises(UnsupportedExactError):
             ks_distance(dump)
-
-    def test_explicit_cdf_argument(self):
-        dump = ecdf(MethodSpec(Method.TIPPETT), 2, 0, 1000, seed=4)
-        d = ks_distance(dump, cdf=lambda x: 1 - (1 - np.clip(x, 0, 1)) ** 2)
-        assert d <= ks_critical_value(1000, 0.01)
 
     def test_critical_levels(self):
         assert ks_critical_value(4999, 0.01) == pytest.approx(1.629 / np.sqrt(4999), abs=1e-12)

@@ -21,8 +21,8 @@ from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import DEFAULT_Q_LEVELS, replica_stream, sample_pmatrix
 
 
-def spec(method, **kw):
-    return MethodSpec(method, **kw)
+def spec(method):
+    return MethodSpec(method)
 
 
 def quantile(method, n, n_f, q):
@@ -52,9 +52,6 @@ class TestSupportMatrix:
     def test_never_exact(self):
         for m in (Method.MUDHOLKAR_GEORGE, Method.MIN_GEOMETRIC_MEANS, Method.WILSON_HARMONIC):
             assert not has_exact_quantile(spec(m), 5, 0)
-
-    def test_wilkinson_nonmax_rank_unsupported(self):
-        assert not has_exact_quantile(spec(Method.WILKINSON, k=1), 5, 0)
 
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
     def test_law_table_agrees_with_itself(self, method):
@@ -205,14 +202,29 @@ class TestTails:
         (Method.EDGINGTON, 5, 0),
     ], ids=lambda v: v.token if isinstance(v, Method) else str(v))
     def test_extreme_level_is_answered_or_refused(self, method, n, n_f):
-        # q = 1e-300 ends in a value (0) or a numeric failure (1), never a
-        # traceback: Chen's n = 1 quantile, about 1.6e-600, underflows
+        # q = 1e-300 ends in a nonzero finite value (exit 0), negative only
+        # for Stouffer's normal quantile, or in a numeric failure (exit 1)
+        # that names the level: Chen's n = 1 quantile, about 1.6e-600,
+        # underflows, and for gm 1 - q rounds to 1
         proc = subprocess.run(
             [sys.executable, "-m", "metacrit.cli", "critical", "--method", method.token,
              "--n", str(n), "--nf", str(n_f), "--q", "1e-300", "--exact"],
             capture_output=True, text=True)
-        assert proc.returncode in (0, 1), proc.stderr
         assert "Traceback" not in proc.stderr
+        if proc.returncode == 1:
+            assert "q=1e-300" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            value = float(proc.stdout.split()[0])
+            assert math.isfinite(value) and value != 0.0
+            assert (value < 0.0) == (method is Method.STOUFFER)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-10, 1e-7, 0.005])
+    @pytest.mark.parametrize("n, n_f", [(1, 0), (5, 0), (5, 2), (26, 26)])
+    def test_tippett_lower_tail(self, n, n_f, q):
+        # the minimum is Beta(1, n + n_f): no lower-tail q rounds away in 1 - q
+        want = stats.beta.ppf(q, 1, n + n_f)
+        assert quantile(Method.TIPPETT, n, n_f, q) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestEdgington:

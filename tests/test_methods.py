@@ -11,7 +11,6 @@ from metacrit.methods import (
     SCORE_STATISTICS,
     Method,
     MethodSpec,
-    RankError,
     Tail,
     evaluate_batch,
     evaluate_statistic,
@@ -22,8 +21,8 @@ from metacrit.methods import (
 from metacrit.special import DomainError, normal_inv_cdf
 
 
-def spec(method, **kw):
-    return MethodSpec(method, **kw)
+def spec(method):
+    return MethodSpec(method)
 
 
 class TestPinnedValues:
@@ -64,9 +63,6 @@ class TestPinnedValues:
 
     def test_wilkinson_default_is_max(self):
         assert evaluate_statistic(spec(Method.WILKINSON), [0.3, 0.9, 0.2]) == 0.9
-
-    def test_wilkinson_explicit_rank(self):
-        assert evaluate_statistic(spec(Method.WILKINSON, k=2), [0.3, 0.9, 0.2]) == 0.3
 
 
 def random_pvectors(count, rng, nmax=26):
@@ -168,8 +164,6 @@ class TestProperties:
             spec(Method.MIN_GEOMETRIC_MEANS): np.minimum(gm(P), gm(1.0 - P)),
             spec(Method.STOUFFER): colsum(Z) / np.sqrt(n),
             spec(Method.WILKINSON): np.sort(P, axis=-1)[..., n - 1],
-            spec(Method.WILKINSON, k=1): np.sort(P, axis=-1)[..., 0],
-            spec(Method.WILKINSON, k=n): np.sort(P, axis=-1)[..., n - 1],
             spec(Method.EDGINGTON): colsum(P) / n,
             spec(Method.MUDHOLKAR_GEORGE): colsum(np.log1p(-P) - np.log(P)),
             spec(Method.WILSON_HARMONIC): n / colsum(1.0 / P),
@@ -179,10 +173,9 @@ class TestProperties:
         for s, want in textbook.items():
             assert np.array_equal(evaluate_batch(s, P), want), s
 
-    SPECS = [spec(m) for m in Method] + [spec(Method.WILKINSON, k=2)]
+    SPECS = [spec(m) for m in Method]
 
-    @pytest.mark.parametrize("s", SPECS, ids=[s.method.token + (f"-k{s.k}" if s.k else "")
-                                             for s in SPECS])
+    @pytest.mark.parametrize("s", SPECS, ids=[s.method.token for s in SPECS])
     def test_reduction_ignores_how_rows_are_split(self, s):
         # a cell reduces its fakes and its genuine values as two views: any
         # split of the columns, and any blocks of rows, give the same bits
@@ -209,14 +202,6 @@ class TestValidation:
     def test_rejects_bad_vectors(self, bad):
         with pytest.raises(DomainError):
             evaluate_statistic(spec(Method.FISHER), bad)
-
-    def test_wilkinson_rank_out_of_range(self):
-        with pytest.raises(RankError):
-            evaluate_statistic(spec(Method.WILKINSON, k=4), [0.1, 0.2, 0.3])
-
-    def test_rank_only_for_wilkinson(self):
-        with pytest.raises(RankError):
-            MethodSpec(Method.FISHER, k=2)
 
     def test_parse_tokens(self):
         for m in Method:

@@ -216,6 +216,12 @@ class TestRootFinder:
         with pytest.raises(ConvergenceError):
             invert_cdf(lambda x: 0.5, 0.9, 0.0, 1.0)
 
+    def test_underflow_is_refused_with_its_level(self):
+        # sqrt(x) = 1e-300 at x = 1e-600, below the smallest double: the
+        # bracket ends as [0, 5e-324], which no midpoint splits
+        with pytest.raises(ConvergenceError, match=r"q=1e-300 underflows"):
+            invert_cdf(math.sqrt, 1e-300, 0.0, 1.0)
+
     def test_grows_bracket(self):
         # 1 - e^-x reaches 0.999 only at x = ln 1000, past three doublings of hi
         root = invert_cdf(lambda x: -math.expm1(-x), 0.999, 0.0, 1.0)

@@ -4,8 +4,10 @@
 name, so a rename in metacrit would otherwise only surface as a failed
 ``--trace 1`` run.  The tracer file is parsed, not imported or changed.
 Each module's ``__all__`` names only attributes it defines, so a deletion
-cannot leave a stale export behind.  The runtime imports nothing but numpy
-and the standard library: scipy and mpmath are test oracles only.
+cannot leave a stale export behind, and only names that code outside the
+tests reaches, so no public name exists only for its tests.  The runtime
+imports nothing but numpy and the standard library: scipy and mpmath are
+test oracles only.
 """
 
 import ast
@@ -18,8 +20,16 @@ import pytest
 
 import metacrit
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-SOURCES = sorted(Path(metacrit.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = Path(metacrit.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [m.name for m in pkgutil.iter_modules(metacrit.__path__)]
+# callers outside the tests: the package's modules but for the re-exporting
+# __init__, the demos, the benchmark, and the acceptance suite
+CALLERS = ([path for path in SOURCES if path.name != "__init__.py"]
+           + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def traced_layers():
@@ -36,11 +46,38 @@ def test_layer_names_a_metacrit_callable(layer):
     assert callable(getattr(importlib.import_module(f"metacrit.{module}"), attr, None))
 
 
-@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(metacrit.__path__)])
+@pytest.mark.parametrize("module", MODULES)
 def test_exports_name_attributes(module):
     mod = importlib.import_module(f"metacrit.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"metacrit.{module}.__all__ names missing {missing}"
+
+
+def identifiers(path):
+    # names, attributes and imported names the file mentions, not its
+    # strings or comments
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exports_are_reached_outside_the_tests(module):
+    # the tracer reaches its layers by string, and a module's own uses of a
+    # name do not make it public
+    reached = {layer.split(".")[1] for layer in traced_layers() if layer.startswith(f"{module}.")}
+    for path in CALLERS:
+        if path != PACKAGE / f"{module}.py":
+            reached |= identifiers(path)
+    mod = importlib.import_module(f"metacrit.{module}")
+    unused = [name for name in getattr(mod, "__all__", ()) if name not in reached]
+    assert not unused, f"metacrit.{module}.__all__ names {unused}, reached only by tests"
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
