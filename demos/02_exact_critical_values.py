@@ -3,8 +3,9 @@
 
 The minimum statistic is Beta(1, n + n_f) for any number of fakes; the
 maximum statistic has CDF x^(n-n_f) (2x - x^2)^(n_f).  With no fakes at all,
-four more methods have classical laws (chi-square, normal, transformed
-gamma, Irwin-Hall).
+five more methods have classical laws: Fisher and Chen chi-square, Stouffer
+normal, the geometric mean a transformed gamma, and Edgington Irwin-Hall, for
+every n.
 """
 
 from metacrit import Method, MethodSpec, exact_quantile, has_exact_quantile

@@ -51,7 +51,7 @@ def ks_distance(dump: EcdfDump) -> float:
     """Kolmogorov-Smirnov distance between the dump and the exact law for
     (method, n, n_f); exact_cdf raises UnsupportedExactError when there is
     none.  Both one-sided gaps are taken at every jump."""
-    theo = np.asarray(exact_cdf(dump.spec, dump.n, dump.n_f, dump.values), dtype=float)
+    theo = exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)
     upper = np.max(dump.heights - theo)
     lower = np.max(theo - (dump.heights - 1.0 / dump.N))
     return float(max(upper, lower, 0.0))
@@ -68,7 +68,7 @@ def write_ecdf_csv(dump: EcdfDump, path, include_exact: bool = False):
     """Dump `x,ecdf[,exact_cdf]` rows for external plotting."""
     exact = None
     if include_exact:
-        exact = np.asarray(exact_cdf(dump.spec, dump.n, dump.n_f, dump.values), dtype=float)
+        exact = exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)
     with open(path, "w", newline="") as f:
         f.write("x,ecdf,exact_cdf\n" if include_exact else "x,ecdf\n")
         for i in range(dump.N):

@@ -5,21 +5,21 @@ its CDF.  With n_f fakes Tippett's minimum is Beta(1, n + n_f) and
 Wilkinson's maximum has CDF x^(n-n_f) (2x - x^2)^(n_f), for any n_f; with no
 fakes Fisher's statistic is chi-square(2n), Chen's chi-square(n), Stouffer's
 standard normal, the geometric mean a transformed Gamma(n, 1), and
-Edgington's mean follows the Irwin-Hall law (kept to n <= 12, comfortably
-before the alternating sum degrades).  A quantile without a closed form is
-found by ``special.invert_cdf`` from the law's CDF.  Everything else has no
-usable closed form and callers fall back to simulation.
+Edgington's mean follows the Irwin-Hall law, summed in exact integers for
+every n.  Every CDF is a function of one float, which ``exact_cdf`` maps
+over an array; a quantile without a closed form is its root, found by
+``special.invert_cdf``.  Other methods have no usable closed form and
+callers fall back to simulation.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .methods import Method, MethodSpec
 from .special import (
     DomainError,
+    _map,
     chisq_quantile,
     gamma_quantile,
     invert_cdf,
@@ -37,9 +37,6 @@ __all__ = [
     "edgington_quantile_genuine",
 ]
 
-EDGINGTON_MAX_N = 12
-
-
 class UnsupportedExactError(LookupError):
     """No exact law is available for the requested combination."""
 
@@ -51,27 +48,23 @@ def _check_grid(n: int, n_f: int):
         raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
 
 
-def _wilkinson_cdf(n: int, n_f: int, x):
-    # genuine uniforms below x times fake minima below x; asarray after clip
-    # puts a scalar x on the array power, not numpy's scalar power, which can
-    # differ in the last bit
-    x = np.asarray(np.clip(x, 0.0, 1.0))
+def _wilkinson_cdf(n: int, n_f: int, x: float) -> float:
+    # genuine uniforms below x times fake minima below x
+    x = min(max(x, 0.0), 1.0)
     return x ** (n - n_f) * (2.0 * x - x * x) ** n_f
 
 
-def _irwin_hall_cdf(n: int, n_f: int, x):
-    # CDF of the mean of n uniforms: the Irwin-Hall law of the sum at n*x
-    s = np.atleast_1d(np.clip(x, 0.0, 1.0) * n)
-    total = np.zeros_like(s)
-    for j in range(n + 1):
-        term = math.comb(n, j) * np.where(s >= j, (s - j) ** n, 0.0)
-        total += term if j % 2 == 0 else -term
-    out = np.clip(total / math.factorial(n), 0.0, 1.0)
-    return float(out[0]) if np.ndim(x) == 0 else out
+def _irwin_hall_cdf(n: int, n_f: int, x: float) -> float:
+    # the mean of n uniforms is below x = a/b when their sum is below
+    # s = n a / b: sum_{j <= s} (-1)^j C(n, j) (s - j)^n / n!, here over the
+    # integers (n a - j b)^n and n! b^n, so one division rounds it, correctly
+    a, b = min(max(x, 0.0), 1.0).as_integer_ratio()
+    total = sum((-1) ** j * math.comb(n, j) * (n * a - j * b) ** n for j in range(n * a // b + 1))
+    return total / (math.factorial(n) * b ** n)
 
 
 def _cdf_root(cdf, n: int, n_f: int, q: float) -> float:
-    return invert_cdf(lambda x: float(cdf(n, n_f, x)), q, 0.0, 1.0)
+    return invert_cdf(lambda x: cdf(n, n_f, x), q, 0.0, 1.0)
 
 
 def _gm_quantile(n: int, n_f: int, q: float) -> float:
@@ -87,33 +80,31 @@ def _genuine_only(n, n_f):
     return n_f == 0
 
 
-# Tippett and Wilkinson for any n_f; Fisher, Chen, Stouffer and the geometric
-# mean only with n_f = 0; Edgington with n_f = 0 and n <= 12 (oracle-grade).
-# The Wilkinson path with fakes is a derived closed form the published tables
-# only simulate; provenance stays distinguishable through the table
-# generator's metadata.  A method missing here has no exact law.
+# Tippett and Wilkinson for any n_f (the published tables only simulate
+# Wilkinson with fakes); Fisher, Chen, Stouffer, the geometric mean and
+# Edgington only with n_f = 0.  A method missing here has no exact law.
 #
 # method -> (supports(n, n_f), quantile(n, n_f, q), cdf(n, n_f, x)),
-# where q is a checked float and the CDF receives x as a float array
+# where q is a checked float and the CDF receives x as a finite float
 _LAWS = {
     # 1 - (1 - q)^(1/(n + n_f)), by log1p and expm1 so no lower-tail q rounds away
     Method.TIPPETT: (lambda n, n_f: True,
                      lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f)),
-                     lambda n, n_f, x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** (n + n_f)),
+                     lambda n, n_f, x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** (n + n_f)),
     Method.WILKINSON: (lambda n, n_f: True,
                        lambda n, n_f, q: (q ** (1.0 / n) if n_f == 0
                                           else _cdf_root(_wilkinson_cdf, n, n_f, q)),
                        _wilkinson_cdf),
     Method.FISHER: (_genuine_only, lambda n, n_f, q: chisq_quantile(2 * n, q),
-                    lambda n, n_f, x: reg_lower_gamma(n, np.maximum(x, 0.0) / 2.0)),
+                    lambda n, n_f, x: reg_lower_gamma(n, max(x, 0.0) / 2.0)),
     Method.CHEN: (_genuine_only, lambda n, n_f, q: chisq_quantile(n, q),
-                  lambda n, n_f, x: reg_lower_gamma(n / 2.0, np.maximum(x, 0.0) / 2.0)),
+                  lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0)),
     Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
                       lambda n, n_f, x: normal_cdf(x)),
     Method.GEOMETRIC_MEAN: (
         _genuine_only, _gm_quantile,
-        lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * np.log(np.clip(x, 1e-300, 1.0)))),
-    Method.EDGINGTON: (lambda n, n_f: n_f == 0 and 2 <= n <= EDGINGTON_MAX_N,
+        lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * math.log(min(max(x, 1e-300), 1.0)))),
+    Method.EDGINGTON: (_genuine_only,
                        lambda n, n_f, q: _cdf_root(_irwin_hall_cdf, n, n_f, q),
                        _irwin_hall_cdf),
 }
@@ -143,9 +134,16 @@ def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
 
 
 def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
-    """Exact null CDF evaluated at x (vectorized) for supported combinations."""
+    """Exact null CDF at x for supported combinations: a float for a scalar
+    x, else an array of x's shape.  Raises DomainError for a non-finite x."""
     _, _, cdf = _law(spec, n, n_f)
-    return cdf(n, n_f, np.asarray(x, dtype=float))
+
+    def point(v):
+        if not math.isfinite(v):
+            raise DomainError("x must be finite")
+        return cdf(n, n_f, v)
+
+    return _map(point, x)
 
 
 def wilkinson_max_quantile(n: int, n_f: int, q: float) -> float:
@@ -154,5 +152,5 @@ def wilkinson_max_quantile(n: int, n_f: int, q: float) -> float:
 
 
 def edgington_quantile_genuine(n: int, q: float) -> float:
-    """Quantile of the mean of n genuine p-values (Irwin-Hall, 2 <= n <= 12)."""
+    """Quantile of the mean of n genuine p-values (Irwin-Hall, any n >= 1)."""
     return exact_quantile(MethodSpec(Method.EDGINGTON), n, 0, q)

@@ -2,13 +2,13 @@
 gamma, chi-square and gamma quantiles, and ``invert_cdf``, the one solver
 that finds a quantile without a closed form as the root of its CDF.
 
-Everything here is pure and reentrant.  Each kernel is a scalar function,
-and one helper maps it over the elements of an array argument, so a scalar
-and an array give identical values.  The normal CDF and quantile come from
-the standard library (``math.erfc`` and ``statistics.NormalDist``, which is
-Wichura's AS 241 in C); their callers pass scalars and short vectors, since
-the simulation draws normal scores directly.  The incomplete gamma's timed
-caller is ``invert_cdf`` inside ``gamma_quantile``, which passes scalars.
+Everything here is pure and reentrant, and each kernel is a function of
+one float.  ``_map`` is the one helper that maps a kernel over an array, so
+a scalar and an array give identical values: ``normal_inv_cdf`` takes the
+arrays of probit scores, and ``exact.exact_cdf`` maps the exact laws.  The
+normal CDF and quantile come from the standard library (``math.erfc`` and
+``statistics.NormalDist``, which is Wichura's AS 241 in C).  The incomplete
+gamma's timed caller is ``invert_cdf`` inside ``gamma_quantile``.
 """
 
 from __future__ import annotations
@@ -96,29 +96,17 @@ def _upper_gamma_cf(a, x):
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _reg_lower_gamma_point(a, x):
-    # series below x = a+1, continued fraction above: the standard regime
-    # split for stability
+def reg_lower_gamma(a, x):
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and finite x >= 0:
+    the series below x = a + 1, the continued fraction above, for stability."""
+    if not (0.0 < a < math.inf):
+        raise DomainError("shape parameter must be positive")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x < 0.0:
         raise DomainError("x must be nonnegative")
     value = _lower_gamma_series(a, x) if x < a + 1.0 else 1.0 - _upper_gamma_cf(a, x)
     return min(max(value, 0.0), 1.0)
-
-
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) for scalar a > 0.
-
-    A scalar ``x`` returns a float; an array ``x`` maps the same scalar
-    kernel over its elements, so both give identical values.
-    """
-    if not (np.isscalar(a) or np.ndim(a) == 0):
-        raise DomainError("shape parameter must be scalar")
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError("shape parameter must be positive")
-    return _map(lambda v: _reg_lower_gamma_point(a, v), x)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +116,12 @@ def reg_lower_gamma(a, x):
 _SQRT2 = math.sqrt(2.0)
 
 
-def _normal_cdf_point(x):
+def normal_cdf(x):
+    """Standard normal CDF at a finite x, from ``math.erfc`` so that the
+    lower tail keeps full relative accuracy."""
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_cdf(x):
-    """Standard normal CDF, from ``math.erfc`` so that the lower tail keeps
-    full relative accuracy.  Scalars and arrays as in ``reg_lower_gamma``."""
-    return _map(_normal_cdf_point, x)
 
 
 def normal_inv_cdf(p):
@@ -145,7 +129,7 @@ def normal_inv_cdf(p):
 
     ``statistics.NormalDist.inv_cdf``: Wichura's AS 241 (PPND16, Appl.
     Statist. 37:477, 1988), relative error about 1e-15 down to p = 1e-300.
-    Scalars and arrays as in ``reg_lower_gamma``.
+    A scalar ``p`` gives a float, and an array the same values via ``_map``.
     """
     # imported here: statistics pulls in fractions and decimal, cold-start
     # cost that only the Stouffer, Chen and interval paths need
@@ -172,9 +156,10 @@ def invert_cdf(cdf, q, lo, hi):
     cdf(hi) >= q, and Illinois regula falsi (Dowell & Jarratt, BIT 11:168,
     1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  It
     stops when |cdf(x) - q| <= 1e-12 * min(q, 1 - q), so lower tails keep
-    relative accuracy, or when the bracket is 1e-15 of ``hi`` wide, and
-    raises ``ConvergenceError`` when the quantile underflows: the bracket is
-    two adjacent subnormals, still wider than that.
+    relative accuracy, or when the bracket is 1e-15 of ``hi`` wide.  It
+    raises ``ConvergenceError`` when the quantile underflows: cdf already
+    reaches q at the smallest positive double, or the bracket is two
+    adjacent subnormals, still wider than that.
     """
     tol = 1e-12 * min(q, 1.0 - q)
     flo = cdf(lo) - q
@@ -188,6 +173,9 @@ def invert_cdf(cdf, q, lo, hi):
         fhi = cdf(hi) - q
     else:
         raise ConvergenceError("could not bracket the quantile")
+    # refused at once, before regula falsi halves [0, hi] one binade a step
+    if lo == 0.0 and cdf(math.ulp(0.0)) >= q:
+        raise ConvergenceError(f"the quantile at q={q:g} underflows below the smallest double")
     kept = 0  # the end kept by the last step: -1 lo, +1 hi
     for _ in range(_MAX_INVERT_ITER):
         x = hi - fhi * (hi - lo) / (fhi - flo)
@@ -222,7 +210,7 @@ def gamma_quantile(shape, q):
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError("quantile level must lie strictly inside (0, 1)")
-    return invert_cdf(lambda x: _reg_lower_gamma_point(shape, x), q,
+    return invert_cdf(lambda x: reg_lower_gamma(shape, x), q,
                       0.0, shape + 10.0 * math.sqrt(shape) + 10.0)
 
 

@@ -84,6 +84,12 @@ class TestCritical:
         assert code == 0
         assert abs(float(out.split()[0]) - 0.69256) <= 5e-5
 
+    def test_edgington_exact_past_twelve(self, capsys):
+        code, out, _ = run(capsys, "critical", "--method", "edgington", "--n", "26",
+                           "--nf", "0", "--q", "0.05", "--exact")
+        assert code == 0
+        assert out.strip() == "0.406825 (exact)"
+
     def test_exact_unsupported_suggests_simulate(self, capsys):
         code, _, err = run(capsys, "critical", "--method", "fisher", "--n", "3",
                            "--nf", "1", "--q", "0.95", "--exact")
@@ -162,6 +168,15 @@ class TestCombine:
         assert rec["tail"] == "both"
         assert len(rec["criticals"]) == 2
         assert rec["criticals"][0]["source"] == "exact"
+        assert rec["reject"] is False
+
+    def test_edgington_twenty_pvalues_exact(self, capsys):
+        p = ",".join(f"{0.05 * k:.2f}" for k in range(1, 20)) + ",0.5"
+        code, out, _ = run(capsys, "combine", "--method", "edgington", "--nf", "0",
+                           "--alpha", "0.05", "--p", p, "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert [c["source"] for c in rec["criticals"]] == ["exact"]
         assert rec["reject"] is False
 
     def test_tail_both_simulates_once(self, capsys, monkeypatch):
@@ -366,6 +381,12 @@ class TestValidateAndEcdf:
         assert code == 0
         ks = float(out.split("ks_distance = ")[1].split()[0])
         assert ks <= 1.63 / 4999**0.5
+
+    def test_validate_edgington_past_twelve(self, capsys):
+        code, out, _ = run(capsys, "validate", "--method", "edgington", "--n", "20",
+                           "--nf", "0")
+        assert code == 0
+        assert "fit at the 1% level: consistent" in out
 
     def test_validate_unsupported(self, capsys):
         code, _, err = run(capsys, "validate", "--method", "mg", "--n", "3", "--nf", "0")

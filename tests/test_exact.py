@@ -4,12 +4,14 @@ identities, and a sampler check through the fake-sample Fisher transform."""
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
 from metacrit.exact import (
+    _LAWS,
     UnsupportedExactError,
     edgington_quantile_genuine,
     exact_cdf,
@@ -19,6 +21,7 @@ from metacrit.exact import (
 )
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import DEFAULT_Q_LEVELS, replica_stream, sample_pmatrix
+from metacrit.special import DomainError
 
 
 def spec(method):
@@ -45,9 +48,11 @@ class TestSupportMatrix:
             assert not has_exact_quantile(spec(m), 7, 1)
 
     def test_edgington_range(self):
-        assert has_exact_quantile(spec(Method.EDGINGTON), 12, 0)
-        assert not has_exact_quantile(spec(Method.EDGINGTON), 13, 0)
-        assert not has_exact_quantile(spec(Method.EDGINGTON), 5, 1)
+        # the Irwin-Hall sum is exact for every n, and only without fakes
+        for n in range(1, 27):
+            assert has_exact_quantile(spec(Method.EDGINGTON), n, 0)
+            assert not any(has_exact_quantile(spec(Method.EDGINGTON), n, n_f)
+                           for n_f in range(1, n + 1))
 
     def test_never_exact(self):
         for m in (Method.MUDHOLKAR_GEORGE, Method.MIN_GEOMETRIC_MEANS, Method.WILSON_HARMONIC):
@@ -231,18 +236,29 @@ class TestEdgington:
     def test_symmetry_points(self):
         assert cdf(Method.EDGINGTON, 2, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
         assert cdf(Method.EDGINGTON, 3, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        # F(x) + F(1 - x) = 1 for every n; on [0.5, 1] the 1 - x is exact, and
+        # two correctly rounded terms leave at most one ulp of 1 between them
+        for n in range(1, 27):
+            for x in np.linspace(0.5, 1.0, 101):
+                total = cdf(Method.EDGINGTON, n, 0, x) + cdf(Method.EDGINGTON, n, 0, 1.0 - x)
+                assert abs(total - 1.0) <= math.ulp(1.0), (n, x)
 
     def test_lower_tail_closed_form(self):
-        # below x = 1/n the CDF is (n x)^n / n!
+        # below x = 1/n the CDF is (n x)^n / n!; in exact rationals, rounded
+        # once, it is what the integer sum rounds to, down to a subnormal x
         x = (0.6) ** (1 / 3) / 3
         assert cdf(Method.EDGINGTON, 3, 0, x) == pytest.approx(0.1, abs=1e-12)
+        for n in (3, 13, 26):
+            for x in [*np.linspace(0.0, 1.0 / n, 41)[:-1], 1e-10, 5e-324]:
+                want = float(Fraction(float(x)) ** n * n ** n / math.factorial(n))
+                assert cdf(Method.EDGINGTON, n, 0, x) == want, (n, x)
 
     def test_against_scipy_irwin_hall(self):
-        for n in (2, 5, 12):
+        for n in (2, 5, 12, 13, 20, 26):
             x = np.linspace(0.01, 0.99, 37)
             ours = cdf(Method.EDGINGTON, n, 0, x)
             ref = stats.irwinhall.cdf(n * x, n)
-            assert np.abs(ours - ref).max() < 1e-10
+            assert np.abs(ours - ref).max() < 1e-15, n
 
     def test_quantile_round_trip(self):
         for n in (2, 7, 12):
@@ -251,10 +267,23 @@ class TestEdgington:
                 assert cdf(Method.EDGINGTON, n, 0, x) == pytest.approx(q, abs=1e-9)
 
     def test_out_of_range_n(self):
+        # every n has the law; a fake p-value takes it away
+        for n in (1, 13, 26):
+            assert cdf(Method.EDGINGTON, n, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert cdf(Method.EDGINGTON, 1, 0, 0.25) == 0.25
         with pytest.raises(UnsupportedExactError):
-            cdf(Method.EDGINGTON, 13, 0, 0.5)
-        with pytest.raises(UnsupportedExactError):
-            cdf(Method.EDGINGTON, 1, 0, 0.5)
+            cdf(Method.EDGINGTON, 5, 1, 0.5)
+
+    def test_published_cells_without_fakes(self, reference_tables):
+        # all 240 published n_f = 0 cells are simulated; z = (published - ours)
+        # / published stderr should look standard normal: at least 95% inside
+        # 3 sd and the largest |z| under the Bonferroni bound over the cells
+        ref = reference_tables["edgington"]
+        z = np.array([(printed - edgington_quantile_genuine(n, q)) / se
+                      for (n, n_f, q), (printed, se) in ref.items() if n_f == 0])
+        assert z.size == 240
+        assert np.mean(np.abs(z) <= 3.0) >= 0.95
+        assert np.abs(z).max() < stats.norm.isf(0.05 / z.size)
 
 
 class TestFakeFisherTransform:
@@ -270,6 +299,29 @@ class TestFakeFisherTransform:
 
 
 class TestExactCdf:
+    @pytest.mark.parametrize("method", list(_LAWS), ids=lambda m: m.token)
+    def test_array_equals_pointwise(self, method):
+        # each law is a function of one float, mapped in one place: an array
+        # gives the scalar values bit for bit, in its own shape, clamps too
+        s = spec(method)
+        n, n_f = (5, 2) if has_exact_quantile(s, 5, 2) else (5, 0)
+        x = np.concatenate([np.linspace(-3.0, 3.0, 121), np.linspace(0.0, 1.0, 101),
+                            np.geomspace(1e-300, 60.0, 101), [5e-324]]).reshape(2, 3, 54)
+        arr = exact_cdf(s, n, n_f, x)
+        assert arr.shape == x.shape and arr.dtype == np.float64
+        pointwise = [exact_cdf(s, n, n_f, float(v)) for v in x.ravel()]
+        assert all(type(v) is float for v in pointwise)
+        assert np.array_equal(arr.ravel(), pointwise)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", list(_LAWS), ids=lambda m: m.token)
+    def test_non_finite_x_is_a_domain_error(self, method, bad):
+        s = spec(method)
+        with pytest.raises(DomainError, match="finite"):
+            exact_cdf(s, 5, 0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            exact_cdf(s, 5, 0, np.array([0.25, 0.5, bad, 0.75]))
+
     def test_matches_quantiles(self):
         cases = [
             (spec(Method.TIPPETT), 5, 3),

@@ -1,4 +1,8 @@
-"""Special-function kernel against scipy oracles and its own invariants."""
+"""Special-function kernel against scipy oracles and its own invariants.
+
+``normal_cdf`` and ``reg_lower_gamma`` take one float; the tests that sweep
+them over arrays map them with ``_map``, the map ``exact.exact_cdf`` uses.
+"""
 
 import math
 from functools import partial
@@ -14,6 +18,7 @@ from metacrit.sampling import DEFAULT_Q_LEVELS
 from metacrit.special import (
     ConvergenceError,
     DomainError,
+    _map,
     chisq_quantile,
     gamma_quantile,
     invert_cdf,
@@ -34,18 +39,18 @@ class TestNormalCdf:
 
     def test_against_scipy(self):
         x = np.linspace(-10, 10, 4001)
-        assert np.abs(normal_cdf(x) - stats.norm.cdf(x)).max() < 1e-14
+        assert np.abs(_map(normal_cdf, x) - stats.norm.cdf(x)).max() < 1e-14
 
     def test_symmetry_exact(self):
         x = np.linspace(-37, 37, 999)
-        assert np.abs(normal_cdf(x) + normal_cdf(-x) - 1.0).max() <= 1e-14
+        assert np.abs(_map(normal_cdf, x) + _map(normal_cdf, -x) - 1.0).max() <= 1e-14
 
     def test_strictly_increasing(self):
         # strict within +-6 where increments stay above one ulp of 1.0
         x = np.linspace(-6, 6, 1001)
-        assert np.all(np.diff(normal_cdf(x)) > 0)
+        assert np.all(np.diff(_map(normal_cdf, x)) > 0)
         wide = np.linspace(-12, 12, 1001)
-        assert np.all(np.diff(normal_cdf(wide)) >= 0)
+        assert np.all(np.diff(_map(normal_cdf, wide)) >= 0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -64,7 +69,7 @@ class TestNormalInvCdf:
 
     def test_round_trip(self):
         p = np.linspace(1e-10, 1 - 1e-10, 20011)
-        assert np.abs(normal_cdf(normal_inv_cdf(p)) - p).max() <= 1e-12
+        assert np.abs(_map(normal_cdf, normal_inv_cdf(p)) - p).max() <= 1e-12
 
     def test_odd_symmetry(self):
         # 1 - p is exact to ~1e-16 here, so the identity holds to 1e-12
@@ -110,11 +115,11 @@ class TestIncompleteGamma:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0, 13.0, 50.0, 123.0])
     def test_against_scipy(self, a):
         x = np.linspace(0.0, 6 * a + 30, 3001)
-        assert np.abs(reg_lower_gamma(a, x) - sp.gammainc(a, x)).max() < 2e-13
+        assert np.abs(_map(partial(reg_lower_gamma, a), x) - sp.gammainc(a, x)).max() < 2e-13
 
     def test_monotone_and_limits(self):
         x = np.linspace(0, 200, 2001)
-        p = reg_lower_gamma(4.0, x)
+        p = _map(partial(reg_lower_gamma, 4.0), x)
         assert np.all(np.diff(p) >= 0)
         assert p[0] == 0.0
         assert p[-1] == pytest.approx(1.0, abs=1e-15)
@@ -127,12 +132,12 @@ class TestIncompleteGamma:
 
     # one map serves every kernel: an array is the scalar path mapped over its
     # elements, here on both sides of the gamma's x = a + 1 regime split and
-    # for the two normal kernels
+    # for the two normal kernels; normal_inv_cdf maps itself
     @pytest.mark.parametrize("f, x", [
-        *[pytest.param(partial(reg_lower_gamma, a),
+        *[pytest.param(partial(_map, partial(reg_lower_gamma, a)),
                        np.linspace(0.0, 6 * a + 30, 401).reshape(401, 1), id=f"{a}")
           for a in (0.5, 2.5, 13.0, 123.0)],
-        pytest.param(normal_cdf, np.linspace(-40.0, 40.0, 401).reshape(401, 1),
+        pytest.param(partial(_map, normal_cdf), np.linspace(-40.0, 40.0, 401).reshape(401, 1),
                      id="normal_cdf"),
         pytest.param(normal_inv_cdf, np.concatenate(
             [np.geomspace(1e-300, 0.4, 200), np.linspace(0.01, 0.99, 201)]).reshape(1, 401),
@@ -145,9 +150,10 @@ class TestIncompleteGamma:
         assert np.array_equal(arr, pointwise)
 
     @pytest.mark.parametrize("f, bad", [
-        *[pytest.param(partial(reg_lower_gamma, 2.5), bad, id=f"{bad}")
+        *[pytest.param(partial(_map, partial(reg_lower_gamma, 2.5)), bad, id=f"{bad}")
           for bad in (-1e-3, np.nan, np.inf)],
-        *[pytest.param(normal_cdf, bad, id=f"normal_cdf-{bad}") for bad in (np.nan, np.inf)],
+        *[pytest.param(partial(_map, normal_cdf), bad, id=f"normal_cdf-{bad}")
+          for bad in (np.nan, np.inf)],
         *[pytest.param(normal_inv_cdf, bad, id=f"normal_inv_cdf-{bad}")
           for bad in (np.nan, 0.0, np.inf)],
     ])
@@ -217,10 +223,26 @@ class TestRootFinder:
             invert_cdf(lambda x: 0.5, 0.9, 0.0, 1.0)
 
     def test_underflow_is_refused_with_its_level(self):
-        # sqrt(x) = 1e-300 at x = 1e-600, below the smallest double: the
-        # bracket ends as [0, 5e-324], which no midpoint splits
+        # sqrt(x) = 1e-300 at x = 1e-600, below the smallest double; at
+        # q = 2.5e-162 the root lies between the two smallest subnormals,
+        # and the bracket ends on them, which no midpoint splits
         with pytest.raises(ConvergenceError, match=r"q=1e-300 underflows"):
             invert_cdf(math.sqrt, 1e-300, 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match=r"q=2.5e-162 underflows"):
+            invert_cdf(math.sqrt, 2.5e-162, 0.0, 1.0)
+
+    def test_underflow_is_refused_at_once(self):
+        # cdf(5e-324) already reaches q, so no bracket is shrunk: cdf(lo),
+        # cdf(hi) and cdf at the smallest double
+        calls = []
+
+        def cdf(x):
+            calls.append(x)
+            return math.sqrt(x)
+
+        with pytest.raises(ConvergenceError, match=r"q=1e-300 underflows"):
+            invert_cdf(cdf, 1e-300, 0.0, 1.0)
+        assert len(calls) <= 5
 
     def test_grows_bracket(self):
         # 1 - e^-x reaches 0.999 only at x = ln 1000, past three doublings of hi
