@@ -4,13 +4,15 @@ Per replica: draw N statistic values per cell from one draw of the stream,
 sort them and read off the order-statistic plug-in estimate
 t_{floor(q(N+1)):N} at every level q.  Across replicas: average the R
 estimates and attach the standard error sqrt(sum (t_i - mean)^2 / (R(R-1))),
-from which a normal confidence interval follows.
+from which a normal confidence interval follows.  The replica is the unit of
+parallel work: each is a pure function of (seed, replica index).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +99,30 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
     return QuantileEstimate(q=q, estimate=mean, stderr=stderr, replicas=R)
 
 
-def simulate_cells(spec: MethodSpec, cfgs) -> list[list[QuantileEstimate]]:
+def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[QuantileEstimate]]:
     """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
     replicas, each drawing its stream once for all cells, aggregated per level.
-    An empty list of cells gives an empty list."""
+    ``workers`` > 1 runs contiguous blocks of replicas on min(workers, R, cores)
+    processes, with the same result.  An empty list of cells gives an empty list."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     if not cfgs:
         return []
     if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
         raise DomainError("cells simulated together must share N, R and seed")
-    replicas = [run_replica(spec, cfgs, r) for r in range(cfgs[0].R)]
+    R = cfgs[0].R
+    replica = functools.partial(run_replica, spec, cfgs)
+    # more processes than replicas or cores only adds fork and import cost
+    workers = min(workers, R, os.cpu_count() or 1)
+    if workers > 1:
+        import concurrent.futures  # deferred: its import costs every cold start
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                replicas = list(pool.map(replica, range(R), chunksize=-(-R // workers)))
+        except concurrent.futures.BrokenExecutor as err:
+            raise ChildProcessError(str(err)) from err
+    else:
+        replicas = [replica(r) for r in range(R)]
     # zip(*replicas) regroups by cell: an (R, levels) array for each
     return [[aggregate(rows[:, j], q) for j, q in enumerate(cfg.q_list)]
             for cfg, rows in zip(cfgs, map(np.array, zip(*replicas)))]

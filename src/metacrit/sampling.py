@@ -11,10 +11,10 @@ layout: a genuine score is standard normal, a fake one the smaller of two.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, replica_index) through numpy's SeedSequence hash, so every replica's
-sequence is a pure function of those two integers no matter how work is
-scheduled across processes.  Cell (n, n_f) reads the first N(n + n_f) values,
-so a table draws each replica's stream once and every cell reads its own
-prefix: the values a stream of its own would give.
+sequence is a pure function of those two integers whichever process draws
+it: the replica is the unit of parallel work.  Cell (n, n_f) reads the first
+N(n + n_f) values, so a table draws each replica's stream once at any worker
+count and each cell reads its own prefix: what a stream of its own gives.
 
 Every statistic is an elementwise score followed by a row reduction (see
 ``methods``).  A table therefore scores its prefix once as well: the fake

@@ -10,9 +10,7 @@ worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,12 +137,13 @@ def default_grid(n_min: int = 3, n_max: int = 26):
 
 def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True,
                       table: CriticalValueTable | None = None,
-                      sim: tuple | None = None) -> list[list[QuantileEstimate]]:
+                      sim: tuple | None = None, workers: int = 1) -> list[list[QuantileEstimate]]:
     """Critical values at the increasing levels ``q_list`` for each (n, n_f) of
     ``cells``: from the exact law (unless ``use_exact`` is False), else the
     cells of ``table``, else one simulation with ``sim = (N, R, seed)`` of every
-    level left in every cell.  A table miss re-raises its TableLookupError when
-    ``sim`` is None; with no law and no source this raises UnsupportedExactError."""
+    level left in every cell, its replicas spread over ``workers`` processes.
+    A table miss re-raises its TableLookupError when ``sim`` is None; with no
+    law and no source this raises UnsupportedExactError."""
     if sim is not None:  # reject a bad N, R or seed before any source is consulted
         SimConfig(1, 0, *sim)
     found = [{} for _ in cells]
@@ -172,23 +171,15 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     todo = [(got, SimConfig(n, n_f, *sim, q_list=tuple(q for q in q_list if q not in got)))
             for (n, n_f), got in zip(cells, found) if any(q not in got for q in q_list)]
     if todo:
-        simulated = simulate_cells(spec, [cfg for _, cfg in todo])
+        simulated = simulate_cells(spec, [cfg for _, cfg in todo], workers)
         for (got, cfg), estimates in zip(todo, simulated):
             got.update(zip(cfg.q_list, estimates))
     return [[got[q] for q in q_list] for got in found]
 
 
-# numeric and domain failures of a job; anything else is a bug and propagates
+# numeric, domain and dead-worker failures; anything else is a bug and propagates
 _CELL_FAILURES = (DomainError, ConvergenceError, UnsupportedExactError, ArithmeticError,
-                  MemoryError)
-
-
-def _cells_worker(args):
-    spec, cells, q_list, use_exact, sim = args
-    try:
-        return cells, resolve_quantiles(spec, cells, q_list, use_exact=use_exact, sim=sim), None
-    except _CELL_FAILURES as err:  # reported for every cell of the job by the caller
-        return cells, None, f"{type(err).__name__}: {err}"
+                  MemoryError, ChildProcessError)
 
 
 def generate_table(
@@ -205,37 +196,29 @@ def generate_table(
     """Build the full critical-value grid for one method.
 
     Exact cells are used wherever available (unless ``use_exact`` is False);
-    everything else runs one simulation per job.  The result is a pure
+    every other cell comes from one simulation of the whole grid, whose
+    replicas are spread over ``workers`` processes.  The result is a pure
     function of the arguments: every cell reads its own prefix of the
     replica streams keyed by (seed, replica), so the worker count only
-    affects wall time.
+    affects wall time.  A failure is reported for every cell of the grid.
     """
     grid = default_grid(n_min, n_max)
-    # validate N, R, seed and the q grid once, before fanning out cells
+    # validate N, R, seed, the q grid and the worker count before any cell
     SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    # more processes than cells or cores only adds fork and import cost; each
-    # job is an interleaved group of cells, so jobs get like shares of work
-    workers = max(1, min(workers, len(grid), os.cpu_count() or 1))
-    jobs = [(spec, grid[i::workers], tuple(q_list), use_exact, (N, R, seed))
-            for i in range(workers)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cells_worker, jobs))
-    else:
-        results = [_cells_worker(job) for job in jobs]
-
-    failures = [(n, n_f, msg) for cells, _, msg in results if msg for n, n_f in cells]
-    if failures:
-        raise TableGenerationError(failures)
+    try:
+        resolved = resolve_quantiles(spec, grid, tuple(q_list), use_exact=use_exact,
+                                     sim=(N, R, seed), workers=workers)
+    except _CELL_FAILURES as err:
+        msg = f"{type(err).__name__}: {err}"
+        raise TableGenerationError([(n, n_f, msg) for n, n_f in grid]) from err
 
     table = CriticalValueTable(seed=seed, N=N, R=R)
-    for cells, per_cell, _ in results:
-        for (n, n_f), estimates in zip(cells, per_cell):
-            for est in estimates:
-                table.add(TableCell(spec.method, n, n_f, est.q, _canonical(est.estimate),
-                                    _canonical(est.stderr), est.provenance))
+    for (n, n_f), estimates in zip(grid, resolved):
+        for est in estimates:
+            table.add(TableCell(spec.method, n, n_f, est.q, _canonical(est.estimate),
+                                _canonical(est.stderr), est.provenance))
     return table
 
 

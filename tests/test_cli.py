@@ -1,8 +1,11 @@
 """Command-line surface: flags, outputs, exit codes, and decision semantics."""
 
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -182,9 +185,9 @@ class TestCombine:
     def test_tail_both_simulates_once(self, capsys, monkeypatch):
         calls = []
 
-        def counting(spec, cfgs):
+        def counting(spec, cfgs, workers=1):
             calls.extend(cfg.q_list for cfg in cfgs)
-            return simulate_cells(spec, cfgs)
+            return simulate_cells(spec, cfgs, workers)
 
         monkeypatch.setattr(tables, "simulate_cells", counting)
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
@@ -450,6 +453,31 @@ class TestMemoryFailure:
         assert code == 1
         assert "numeric failure" in err
 
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a stand-in pool whose worker dies, as one killed by the OOM killer
+        class DyingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                raise BrokenProcessPool("worker killed")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, _, err = run(capsys, "gen-table", "--method", "mg", "--n-min", "3",
+                           "--n-max", "3", "--N", "99", "--R", "2", "--workers", "2",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert err.startswith("numeric failure: table generation failed for 4 cell(s)")
+        assert "ChildProcessError: worker killed" in err
+        assert err.count("\n") == 1
+
 
 class TestSeedHandling:
     def test_hex_seed(self, tmp_path, capsys):
@@ -493,6 +521,15 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-table" in proc.stdout
+
+    def test_cold_start_imports_no_pool(self):
+        # concurrent.futures (and the logging it pulls in) is imported only
+        # where a pool starts
+        proc = subprocess.run([sys.executable, "-c", "import sys, metacrit.cli; "
+                               "print('concurrent.futures' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "combine",

@@ -144,6 +144,11 @@ class TestSimulateQuantiles:
     def test_no_cells_simulate_nothing(self):
         assert simulate_cells(MethodSpec(Method.WILSON_HARMONIC), []) == []
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            simulate_cells(MethodSpec(Method.WILSON_HARMONIC), [], workers=workers)
+
     def test_deterministic(self):
         spec = MethodSpec(Method.WILSON_HARMONIC)
         cfg = SimConfig(n=3, n_f=1, N=500, R=4, seed=2024)

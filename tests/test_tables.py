@@ -1,15 +1,18 @@
 """Grid layout, table generation, CSV round-trips, and lookup behavior."""
 
+import concurrent.futures
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+import metacrit.estimation as estimation
 import metacrit.tables as tables
 from metacrit.estimation import simulate_cells, simulate_quantiles
 from metacrit.exact import UnsupportedExactError, exact_quantile
 from metacrit.methods import Method, MethodSpec, parse_method
-from metacrit.sampling import SimConfig
+from metacrit.sampling import SimConfig, replica_stream
 from metacrit.special import DomainError
 from metacrit.tables import (
     CriticalValueTable,
@@ -107,20 +110,20 @@ class TestDeterminism:
         assert paths[0] == paths[1]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        spec = MethodSpec(Method.WILSON_HARMONIC)
-        blobs = []
-        for workers in (1, 2):
-            table = generate_table(spec, n_min=3, n_max=4, N=199, R=3, seed=11,
-                                   workers=workers)
-            path = tmp_path / f"w{workers}.csv"
-            write_csv(table, path)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+        for method in Method:
+            blobs = []
+            for workers in (1, 2):
+                table = generate_table(MethodSpec(method), n_min=3, n_max=4, N=199, R=3,
+                                       seed=11, use_exact=False, workers=workers)
+                path = tmp_path / f"{method.token}-w{workers}.csv"
+                write_csv(table, path)
+                blobs.append(path.read_bytes())
+            assert blobs[0] == blobs[1], method.token
 
-    # n = 1 has two (n, n_f) rows, n = 3 has four
-    @pytest.mark.parametrize("n, cores", [(1, 16), (3, 2)])
-    def test_workers_clamped_to_jobs_and_cores(self, monkeypatch, n, cores):
-        # a serial stand-in for the pool: no process is started
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        # a serial stand-in for the pool: no process is started, and the
+        # max_workers of every pool built is recorded
         recorded = []
 
         class SerialPool:
@@ -133,15 +136,52 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(tables.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(tables.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return recorded
+
+    # n = 1 has two (n, n_f) rows, n = 3 has four
+    @pytest.mark.parametrize("n, cores", [(1, 16), (3, 2)])
+    def test_workers_clamped_to_jobs_and_cores(self, monkeypatch, recorded, n, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         table = generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=n, n_max=n,
                                N=99, R=2, seed=5, workers=64)
         assert recorded == [2]
         assert len(table.cells) == len(default_grid(n, n)) * 10
+
+    def test_workers_clamped_to_replicas_not_rows(self, monkeypatch, recorded):
+        # n = 1 has two (n, n_f) rows but five replicas to share out
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=1, n_max=1,
+                       N=99, R=5, seed=5, workers=64)
+        assert recorded == [5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_replica_drawn_once(self, monkeypatch, recorded, workers):
+        drawn = []
+
+        def counting(seed, replica_index):
+            drawn.append(replica_index)
+            return replica_stream(seed, replica_index)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(estimation, "replica_stream", counting)
+        generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=5,
+                       N=99, R=4, seed=5, workers=workers)
+        assert sorted(drawn) == [0, 1, 2, 3]
+        assert recorded == ([2] if workers == 2 else [])
+
+    # an all-exact grid has no replica to share out, and one replica no one
+    # to share it with
+    @pytest.mark.parametrize("method, n_max, R", [(Method.TIPPETT, 26, 50),
+                                                  (Method.MUDHOLKAR_GEORGE, 4, 1)],
+                             ids=["all-exact", "one-replica"])
+    def test_starts_no_pool(self, monkeypatch, recorded, method, n_max, R):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        generate_table(MethodSpec(method), n_min=3, n_max=n_max, N=99, R=R, seed=5, workers=4)
+        assert recorded == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):
@@ -348,7 +388,7 @@ class TestSharedDraws:
 
 class TestGenerationFailures:
     def test_failed_cell_is_reported(self, monkeypatch):
-        def boom(spec, cfgs):
+        def boom(spec, cfgs, workers=1):
             raise ArithmeticError("synthetic cell failure")
 
         monkeypatch.setattr(tables, "simulate_cells", boom)
@@ -357,7 +397,7 @@ class TestGenerationFailures:
                            N=50, R=2, seed=1)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(spec, cfgs):
+        def broken(spec, cfgs, workers=1):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(tables, "simulate_cells", broken)
