@@ -6,9 +6,8 @@ against the exact laws where those exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact import exact_cdf
 from .methods import MethodSpec
@@ -28,10 +27,10 @@ _KS_MULTIPLIER = {0.05: 1.358, 0.01: 1.629}
 
 @dataclass(frozen=True)
 class EcdfDump:
-    """Sorted statistic values with ECDF heights i/N plus provenance."""
+    """Sorted statistic values with ECDF heights i/N (arrays) plus provenance."""
 
-    values: np.ndarray
-    heights: np.ndarray
+    values: object
+    heights: object
     spec: MethodSpec
     n: int
     n_f: int
@@ -42,6 +41,7 @@ class EcdfDump:
 def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int) -> EcdfDump:
     """The empirical distribution of the combined statistic in the seed's
     first replica."""
+    import numpy as np
     stats = np.sort(sample_statistic(spec, n, n_f, N, replica_stream(seed, 0)))
     heights = np.arange(1, N + 1) / N
     return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f, N=N, seed=seed)
@@ -51,6 +51,7 @@ def ks_distance(dump: EcdfDump) -> float:
     """Kolmogorov-Smirnov distance between the dump and the exact law for
     (method, n, n_f); exact_cdf raises UnsupportedExactError when there is
     none.  Both one-sided gaps are taken at every jump."""
+    import numpy as np
     theo = exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)
     upper = np.max(dump.heights - theo)
     lower = np.max(theo - (dump.heights - 1.0 / dump.N))
@@ -61,7 +62,7 @@ def ks_critical_value(N: int, level: float = 0.01) -> float:
     """Asymptotic KS critical value c / sqrt(N) at the 5% or 1% level."""
     if level not in _KS_MULTIPLIER:
         raise DomainError("supported levels: 0.05 and 0.01")
-    return _KS_MULTIPLIER[level] / np.sqrt(N)
+    return _KS_MULTIPLIER[level] / math.sqrt(N)
 
 
 def write_ecdf_csv(dump: EcdfDump, path, include_exact: bool = False):

@@ -15,8 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .methods import MethodSpec
 from .sampling import SimConfig, replica_stream, sample_cells
 from .special import DomainError, normal_inv_cdf
@@ -64,10 +62,11 @@ def quantile_index(N: int, q: float) -> int:
     return min(max(idx, 1), N)
 
 
-def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list[np.ndarray]:
+def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list:
     """One replica's quantile estimates for each cell of ``cfgs`` (which share
     N, R and seed), one per level of its q_list.  Each cell's statistics are
     reduced to its order statistics before the next cell's are made."""
+    import numpy as np
     first = cfgs[0]
     if not (0 <= replica_index < first.R):
         raise DomainError("replica index outside 0..R-1")
@@ -86,6 +85,7 @@ def _ranks(N: int, q_list: tuple) -> tuple:
 def aggregate(replica_values, q: float) -> QuantileEstimate:
     """Average one quantile's per-replica estimates and attach the standard
     error of the mean (None when R = 1)."""
+    import numpy as np
     vals = np.asarray(replica_values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise DomainError("need at least one replica estimate")
@@ -104,6 +104,7 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
     replicas, each drawing its stream once for all cells, aggregated per level.
     ``workers`` > 1 runs contiguous blocks of replicas on min(workers, R, cores)
     processes, with the same result.  An empty list of cells gives an empty list."""
+    import numpy as np
     if workers < 1:
         raise DomainError("workers must be >= 1")
     if not cfgs:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .methods import SCORE_STATISTICS, MethodSpec, reduce, score
 from .special import DomainError
 
@@ -88,18 +86,19 @@ class SimConfig:
         object.__setattr__(self, "q_list", qs)
 
 
-def replica_stream(seed: int, replica_index: int) -> np.random.Generator:
-    """Deterministic substream for one replica.
+def replica_stream(seed: int, replica_index: int):
+    """Deterministic substream for one replica, a numpy ``Generator``.
 
     Identical (seed, replica_index) always yields the identical sequence,
     independent of thread or process scheduling.
     """
     if seed < 0 or replica_index < 0:
         raise DomainError("seed and replica index must be nonnegative")
+    import numpy as np  # loaded by the first simulation, not on import
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(replica_index)))))
 
 
-def _draw(stream: np.random.Generator, size: int, scores: bool) -> np.ndarray:
+def _draw(stream, size: int, scores: bool):
     """``size`` base draws in stream order: standard normal scores, or
     uniforms strictly inside (0, 1)."""
     try:
@@ -115,9 +114,10 @@ def _draw(stream: np.random.Generator, size: int, scores: bool) -> np.ndarray:
     return x
 
 
-def _prefix(cells, N: int, stream: np.random.Generator, scores: bool):
+def _prefix(cells, N: int, stream, scores: bool):
     """Check the (n, n_f) cells, draw the longest stream prefix they read, and
     return it with the minima of its fake pairs, N·max n_f of them."""
+    import numpy as np
     for n, n_f in cells:
         if N < 1 or n < 1 or not (0 <= n_f <= n):
             raise DomainError(f"need N, n >= 1 and 0 <= n_f <= n; got N={N}, n={n}, n_f={n_f}")
@@ -136,17 +136,18 @@ def _parts(prefix, n: int, n_f: int, N: int) -> tuple:
             base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f))
 
 
-def sample_pmatrix(n: int, n_f: int, N: int, stream: np.random.Generator) -> np.ndarray:
+def sample_pmatrix(n: int, n_f: int, N: int, stream):
     """N samples of n p-values as an (N, n) matrix: in each row the n_f
     fakes come first, then the n - n_f genuine values.
 
     Every statistic downstream is permutation invariant, so the placement
     is only a convention.
     """
+    import numpy as np
     return np.concatenate(_parts(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N), axis=1)
 
 
-def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
+def sample_cells(spec: MethodSpec, cells, N: int, stream):
     """Yield N values of the statistic for each (n, n_f) of ``cells`` in turn,
     all read from one draw of the stream, scored once.  Stouffer and Chen get
     their normal scores drawn directly in the ``sample_pmatrix`` layout: no
@@ -166,7 +167,6 @@ def sample_cells(spec: MethodSpec, cells, N: int, stream: np.random.Generator):
         yield reduce(spec, _parts(prefix, n, n_f, N))
 
 
-def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int,
-                     stream: np.random.Generator) -> np.ndarray:
+def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int, stream):
     """N simulated values of the statistic for n p-values, n_f of them fake."""
     return next(sample_cells(spec, [(n, n_f)], N, stream))

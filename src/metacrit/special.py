@@ -5,17 +5,17 @@ that finds a quantile without a closed form as the root of its CDF.
 Everything here is pure and reentrant, and each kernel is a function of
 one float.  ``_map`` is the one helper that maps a kernel over an array, so
 a scalar and an array give identical values: ``normal_inv_cdf`` takes the
-arrays of probit scores, and ``exact.exact_cdf`` maps the exact laws.  The
-normal CDF and quantile come from the standard library (``math.erfc`` and
+arrays of probit scores, and ``exact.exact_cdf`` maps the exact laws; only
+a value that is not a Python int or float makes it import numpy.  The normal
+CDF and quantile come from the standard library (``math.erfc`` and
 ``statistics.NormalDist``, which is Wichura's AS 241 in C).  The incomplete
 gamma's timed caller is ``invert_cdf`` inside ``gamma_quantile``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-import numpy as np
 
 __all__ = [
     "DomainError",
@@ -46,9 +46,11 @@ class ConvergenceError(RuntimeError):
 
 def _map(f, x):
     # a scalar or 0-d x gives a float; an array maps f over its elements and
-    # keeps its shape.  np.isscalar goes first: np.ndim on a Python float
-    # builds an array, which would double the cost of a scalar call
-    if np.isscalar(x) or np.ndim(x) == 0:
+    # keeps its shape.  A Python number needs no numpy, whose import is slow
+    if isinstance(x, (int, float)):
+        return f(float(x))
+    import numpy as np
+    if np.ndim(x) == 0:
         return f(float(x))
     arr = np.asarray(x, dtype=float)
     return np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
@@ -124,15 +126,10 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_inv_cdf(p):
-    """Standard normal quantile for p strictly inside (0, 1).
-
-    ``statistics.NormalDist.inv_cdf``: Wichura's AS 241 (PPND16, Appl.
-    Statist. 37:477, 1988), relative error about 1e-15 down to p = 1e-300.
-    A scalar ``p`` gives a float, and an array the same values via ``_map``.
-    """
-    # imported here: statistics pulls in fractions and decimal, cold-start
-    # cost that only the Stouffer, Chen and interval paths need
+@functools.cache
+def _probit():
+    # the quantile of one float, with one NormalDist for every call.  statistics
+    # pulls in fractions and decimal, which only the probit paths need
     from statistics import NormalDist
 
     inv_cdf = NormalDist().inv_cdf
@@ -142,7 +139,17 @@ def normal_inv_cdf(p):
             raise DomainError("p must lie strictly inside (0, 1)")
         return inv_cdf(v)
 
-    return _map(point, p)
+    return point
+
+
+def normal_inv_cdf(p):
+    """Standard normal quantile for p strictly inside (0, 1).
+
+    ``statistics.NormalDist.inv_cdf``: Wichura's AS 241 (PPND16, Appl.
+    Statist. 37:477, 1988), relative error about 1e-15 down to p = 1e-300.
+    A scalar ``p`` gives a float, and an array the same values via ``_map``.
+    """
+    return _map(_probit(), p)
 
 
 # ---------------------------------------------------------------------------

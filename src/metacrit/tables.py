@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
@@ -56,11 +54,15 @@ class TableParseError(ValueError):
 
 
 class TableGenerationError(RuntimeError):
-    """One or more grid cells failed; carries per-cell reports."""
+    """One or more grid cells failed; carries per-cell reports, and names
+    each distinct failure once, with the cells it hit."""
 
     def __init__(self, failures):
         self.failures = list(failures)
-        lines = "; ".join(f"(n={n}, n_f={n_f}): {msg}" for n, n_f, msg in self.failures)
+        cells = {}
+        for n, n_f, msg in self.failures:
+            cells.setdefault(msg, []).append(f"(n={n}, n_f={n_f})")
+        lines = "; ".join(f"{msg} at {', '.join(at)}" for msg, at in cells.items())
         super().__init__(f"table generation failed for {len(self.failures)} cell(s): {lines}")
 
 
@@ -99,14 +101,15 @@ class TableCell:
 
 @dataclass
 class CriticalValueTable:
-    """Cells indexed by (method, n, n_f, q) plus generation metadata."""
+    """Cells indexed by (method, n, n_f, q) plus generation metadata.  numpy is
+    imported for its version only when none is given, never by ``read_csv``."""
 
     cells: dict = field(default_factory=dict)
     seed: int = DEFAULT_SEED
     N: int = DEFAULT_N_SAMPLES
     R: int = DEFAULT_N_REPLICAS
     version: str = __version__
-    numpy: str = np.__version__  # simulated cells depend on numpy's generators
+    numpy: str = field(default_factory=lambda: __import__("numpy").__version__)
 
     def add(self, cell: TableCell):
         key = (cell.method, cell.n, cell.n_f, cell.q)

@@ -16,7 +16,7 @@ from metacrit.cli import main
 from metacrit.estimation import simulate_cells, simulate_quantiles
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import SimConfig
-from metacrit.tables import read_csv
+from metacrit.tables import generate_table, read_csv, write_csv
 
 
 def run(capsys, *argv):
@@ -530,6 +530,29 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_exact_and_table_paths_import_no_numpy(self, tmp_path):
+        # numpy loads with the first simulation: an exact or --table decision,
+        # from a cold start, never imports it
+        table = tmp_path / "mg.csv"
+        write_csv(generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
+                                 N=99, R=2), table)
+        p = ["--alpha", "0.05", "--p", "0.01,0.2,0.3"]
+        runs = [["combine", "--method", "fisher", "--nf", "0", *p],
+                ["combine", "--method", "stouffer", "--nf", "0", *p],
+                ["combine", "--method", "tippett", "--nf", "2", *p],
+                ["combine", "--method", "mg", "--nf", "2", "--table", str(table), *p],
+                ["critical", "--method", "wilkinson", "--n", "5", "--nf", "2", "--q", "0.05",
+                 "--exact"],
+                ["combine", "--method", "mg", "--nf", "1", "--N", "99", "--R", "2", *p]]
+        script = ("import json, sys, metacrit, metacrit.cli, metacrit.diagnostics\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    print(metacrit.cli.main(argv), 'numpy' in sys.modules, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the last run simulates, and that alone loads numpy
+        assert proc.stderr.splitlines() == ["0 False"] * 5 + ["0 True"]
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "combine",

@@ -197,6 +197,24 @@ class TestProperties:
                               reduce(s, (score(s, normal_inv_cdf(pm)),)))
 
 
+class TestScalarStatistic:
+    # evaluate_statistic folds Python floats in evaluate_batch's order; only
+    # numpy's vectorised log, log1p and exp may differ from libm's, in the last bit
+    SAME_BITS = {Method.TIPPETT, Method.WILKINSON, Method.EDGINGTON, Method.STOUFFER,
+                 Method.WILSON_HARMONIC, Method.CHEN}
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 26])
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
+    def test_matches_batch(self, method, n):
+        P = np.random.default_rng(43 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
+        batch = evaluate_batch(spec(method), P)
+        single = np.array([evaluate_statistic(spec(method), row) for row in P])
+        if method in self.SAME_BITS:
+            assert np.array_equal(single, batch)
+        else:
+            assert np.allclose(single, batch, rtol=1e-13, atol=0.0)
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [[], [0.0, 0.5], [0.5, 1.0], [0.5, np.nan], [-0.1]])
     def test_rejects_bad_vectors(self, bad):

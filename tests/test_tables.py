@@ -396,6 +396,21 @@ class TestGenerationFailures:
             generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
                            N=50, R=2, seed=1)
 
+    def test_one_failure_is_named_once(self, monkeypatch):
+        # a dead worker fails every cell of the default grid with one message:
+        # the report names it once, then the cells, and keeps one entry a cell
+        def dead(spec, cfgs, workers=1):
+            raise ChildProcessError("worker killed")
+
+        monkeypatch.setattr(tables, "simulate_cells", dead)
+        with pytest.raises(TableGenerationError) as info:
+            generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), workers=2)
+        message = str(info.value)
+        assert [(n, n_f) for n, n_f, _ in info.value.failures] == default_grid()
+        assert message.count("worker killed") == 1
+        assert "(n=3, n_f=0)" in message and "(n=26, n_f=8)" in message
+        assert len(message.encode()) < 4096
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(spec, cfgs, workers=1):
             raise TypeError("synthetic bug")

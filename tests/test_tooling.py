@@ -7,7 +7,8 @@ Each module's ``__all__`` names only attributes it defines, so a deletion
 cannot leave a stale export behind, and only names that code outside the
 tests reaches, so no public name exists only for its tests.  The runtime
 imports nothing but numpy and the standard library: scipy and mpmath are
-test oracles only.
+test oracles only.  numpy is imported inside the functions that use arrays,
+never when a module loads, so exact and table lookups run without it.
 """
 
 import ast
@@ -91,3 +92,24 @@ def test_runtime_imports_only_numpy_and_stdlib(source):
             roots.add(node.module.split(".")[0])
     foreign = sorted(roots - {"numpy"} - sys.stdlib_module_names)
     assert not foreign, f"{source.name} imports {foreign}"
+
+
+def import_time_nodes(tree):
+    # every node that runs when the module loads: all but function bodies
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_numpy_is_imported_only_inside_functions(source):
+    roots = set()
+    for node in import_time_nodes(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert "numpy" not in roots, f"{source.name} imports numpy when it loads"
