@@ -23,24 +23,16 @@ def source(est):
 def decide(spec, p, n_f):
     n = len(p)
     t = evaluate_statistic(spec, p)
-    if spec.tail is Tail.LOWER:
-        qs = (ALPHA,)
-    elif spec.tail is Tail.UPPER:
-        qs = (1 - ALPHA,)
-    else:
-        qs = (ALPHA / 2, 1 - ALPHA / 2)
     # both levels of a two-sided test come from one call, so one simulation
-    [crit] = resolve_quantiles(spec, [(n, n_f)], qs, sim=SIM)
-    bounds, reject = [], False
+    [crit] = resolve_quantiles(spec, [(n, n_f)], spec.levels(ALPHA), sim=SIM)
+    bounds = []
     if spec.tail is not Tail.UPPER:
         bounds.append(f"T <= {crit[0].estimate:.4g}")
-        reject |= t <= crit[0].estimate
     if spec.tail is not Tail.LOWER:
         bounds.append(f"T >= {crit[-1].estimate:.4g}")
-        reject |= t >= crit[-1].estimate
     region = " or ".join(bounds)
     src = "; ".join(source(est) for est in crit)
-    verdict = "REJECT" if reject else "retain"
+    verdict = "REJECT" if spec.rejects(t, [est.estimate for est in crit]) else "retain"
     print(f"  {spec.method.token:10s} T = {t:9.4f}   reject if {region:28s} "
           f"[{src}] -> {verdict}")
 

@@ -211,18 +211,12 @@ def _cmd_combine(args) -> int:
     except DomainError as err:
         raise CliError(str(err), EXIT_USAGE)
 
-    if spec.tail is Tail.LOWER:
-        qs = (args.alpha,)
-    elif spec.tail is Tail.UPPER:
-        qs = (1.0 - args.alpha,)
-    else:
-        qs = (args.alpha / 2.0, 1.0 - args.alpha / 2.0)
     needs_table = args.table and not has_exact_quantile(spec, n, args.nf)
     table = _read_file(args.table, read_csv) if needs_table else None
     sim = (args.N, args.R, args.seed)
-    [criticals] = resolve_quantiles(spec, [(n, args.nf)], qs, table=table, sim=sim)
-    reject = ((spec.tail is not Tail.UPPER and statistic <= criticals[0].estimate)
-              or (spec.tail is not Tail.LOWER and statistic >= criticals[-1].estimate))
+    [criticals] = resolve_quantiles(spec, [(n, args.nf)], spec.levels(args.alpha), table=table,
+                                    sim=sim)
+    reject = spec.rejects(statistic, [c.estimate for c in criticals])
 
     decision = Decision(
         method=spec.method.token,

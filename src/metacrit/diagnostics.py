@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .exact import exact_cdf
 from .methods import MethodSpec
-from .sampling import replica_stream, sample_statistic
+from .sampling import replica_stream, sample_cells
 from .special import DomainError
 
 __all__ = [
@@ -42,7 +42,7 @@ def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int) -> EcdfDump:
     """The empirical distribution of the combined statistic in the seed's
     first replica."""
     import numpy as np
-    stats = np.sort(sample_statistic(spec, n, n_f, N, replica_stream(seed, 0)))
+    stats = np.sort(next(sample_cells(spec, [(n, n_f)], N, replica_stream(seed, 0))))
     heights = np.arange(1, N + 1) / N
     return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f, N=N, seed=seed)
 

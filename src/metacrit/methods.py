@@ -5,17 +5,18 @@ p-values lying strictly inside (0, 1).  Each method carries a default
 rejection tail: the direction in which small individual p-values push the
 statistic.
 
-On arrays each statistic is an elementwise score and a row reduction
-(``_splits``, a table built on first use: importing this module loads no
-numpy).  A reduction reads a row as parts, (..., k) arrays whose columns in
-turn make it up, and folds them: one ufunc call per column, left to right,
+Each statistic is written once (``_rows``): an elementwise score, None for
+the identity, and a row reduction, both against a namespace ``xp``.  On
+arrays ``xp`` is numpy (``_splits``, built on first use: importing this
+module loads no numpy), and a reduction folds a row's parts, (..., k) arrays
+whose columns in turn make it up: one ufunc call per column, left to right,
 into a single accumulator.  A row's value is thus the same however it is
 split into parts or blocks of rows, though for rows of eight or more values
 not always the same in the last bits as numpy's ``np.sum``.
 
-``evaluate_statistic`` folds one vector of Python floats in the same order
-with ``math`` scores (``_SCALAR``), and imports no numpy: it gives the bits
-of ``evaluate_batch``, or for Fisher, gm, min-gm and mg, whose numpy logs and
+``evaluate_statistic`` reads the same rows with ``math`` for ``xp``, each
+Python float a one-value part, and imports no numpy: it gives the bits of
+``evaluate_batch``, or for Fisher, gm, min-gm and mg, whose numpy logs and
 exp may differ from libm's in the last bit, agrees to 1e-13 relative.
 """
 
@@ -25,6 +26,7 @@ import enum
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass
 
 from .special import DomainError, _probit, normal_inv_cdf
@@ -105,55 +107,75 @@ class MethodSpec:
         if self.tail is None:
             object.__setattr__(self, "tail", DEFAULT_TAILS[self.method])
 
+    def levels(self, alpha: float) -> tuple:
+        """The increasing quantile levels that bound a level-``alpha`` test."""
+        return {Tail.LOWER: (alpha,), Tail.UPPER: (1.0 - alpha,),
+                Tail.BOTH: (alpha / 2.0, 1.0 - alpha / 2.0)}[self.tail]
+
+    def rejects(self, statistic: float, criticals) -> bool:
+        """Whether ``statistic`` is at or beyond ``criticals``, the values at ``levels``."""
+        return ((self.tail is not Tail.UPPER and statistic <= criticals[0])
+                or (self.tail is not Tail.LOWER and statistic >= criticals[-1]))
+
+
+# ``xp`` for one vector of Python floats: each value a one-value part, folded
+# left to right as the arrays' columns are (the builtin sum compensates from 3.12)
+_FLOATS = types.SimpleNamespace(
+    log=math.log, log1p=math.log1p, exp=math.exp, minimum=min, maximum=max,
+    fold=lambda parts, op=operator.add: functools.reduce(op, parts))
+
+
+def _rows(xp) -> dict:
+    # method -> (score of the drawn values: p, or z = Phi^-1(p) for Stouffer
+    # and Chen, with None for the identity; reduction of the rows ``parts``
+    # make up), written once against ``xp``: numpy (``_splits``) or ``_FLOATS``
+    def gm(logs, n):
+        # the geometric mean from the parts' logs: no underflow for any practical n
+        return xp.exp(xp.fold(logs) / n)
+
+    return {
+        Method.TIPPETT: (None, lambda parts, n: xp.fold(parts, xp.minimum)),
+        Method.FISHER: (xp.log, lambda parts, n: -2.0 * xp.fold(parts)),
+        Method.GEOMETRIC_MEAN: (xp.log, gm),
+        Method.MIN_GEOMETRIC_MEANS: (None, lambda parts, n:
+                                     xp.minimum(gm([xp.log(p) for p in parts], n),
+                                                gm([xp.log(1.0 - p) for p in parts], n))),
+        Method.STOUFFER: (None, lambda parts, n: xp.fold(parts) / math.sqrt(n)),
+        Method.WILKINSON: (None, lambda parts, n: xp.fold(parts, xp.maximum)),
+        Method.EDGINGTON: (None, lambda parts, n: xp.fold(parts) / n),
+        Method.MUDHOLKAR_GEORGE: (lambda p: xp.log1p(-p) - xp.log(p),
+                                  lambda parts, n: xp.fold(parts)),
+        Method.WILSON_HARMONIC: (lambda p: 1.0 / p, lambda parts, n: n / xp.fold(parts)),
+        Method.CHEN: (lambda z: z * z, lambda parts, n: xp.fold(parts)),
+    }
+
+
+_FLOAT_ROWS = _rows(_FLOATS)
+
 
 @functools.cache
 def _splits() -> dict:
-    # method -> (score of the drawn values: p, or z = Phi^-1(p) for Stouffer
-    # and Chen; reduction of the rows ``parts`` make up).  A score may write in
-    # place (out=x), so the simulation scores each value of a stream prefix
-    # once and every cell reduces two views of it: its fakes and its genuine values
+    # the rows on arrays: a part is a (..., k) array, and the fold writes the
+    # columns left to right, op(op(c0, c1), c2)..., into one accumulator of
+    # the row shape in place, with no joined matrix
     import numpy as np
 
-    def mg_score(p, out=None):
-        logp = np.log(p)  # read before an in-place out overwrites p
-        out = np.negative(p, out=out)
-        np.log1p(out, out=out)
-        return np.subtract(out, logp, out=out)
-
     def fold(parts, op=np.add):
-        # the columns of ``parts`` left to right, op(op(c0, c1), c2)..., into one
-        # accumulator of the row shape written in place: no joined matrix
         columns = (part[..., j] for part in parts for j in range(part.shape[-1]))
         acc = np.array(next(columns))  # a copy: the fold writes into it
         for column in columns:
             op(acc, column, out=acc)
         return acc
 
-    def gm(logs, n):
-        # the geometric mean from the parts' logs: no underflow for any practical n
-        return np.exp(fold(logs) / n)
-
-    return {
-        Method.TIPPETT: (np.positive, lambda parts, n: fold(parts, np.minimum)),
-        Method.FISHER: (np.log, lambda parts, n: -2.0 * fold(parts)),
-        Method.GEOMETRIC_MEAN: (np.log, gm),
-        Method.MIN_GEOMETRIC_MEANS: (np.positive, lambda parts, n:
-                                     np.minimum(gm([np.log(p) for p in parts], n),
-                                                gm([np.log(1.0 - p) for p in parts], n))),
-        Method.STOUFFER: (np.positive, lambda parts, n: fold(parts) / np.sqrt(n)),
-        Method.WILKINSON: (np.positive, lambda parts, n: fold(parts, np.maximum)),
-        Method.EDGINGTON: (np.positive, lambda parts, n: fold(parts) / n),
-        Method.MUDHOLKAR_GEORGE: (mg_score, lambda parts, n: fold(parts)),
-        Method.WILSON_HARMONIC: (lambda p, out=None: np.divide(1.0, p, out=out),
-                                 lambda parts, n: n / fold(parts)),
-        Method.CHEN: (lambda z, out=None: np.multiply(z, z, out=out), lambda parts, n: fold(parts)),
-    }
+    return _rows(types.SimpleNamespace(log=np.log, log1p=np.log1p, exp=np.exp, minimum=np.minimum,
+                                       maximum=np.maximum, fold=fold))
 
 
-def score(spec: MethodSpec, x, out=None):
-    """The statistic's elementwise score of the drawn values ``x``, an array,
-    written to ``out`` when given (``out=x`` scores in place)."""
-    return _splits()[spec.method][0](x, out=out)
+def score(spec: MethodSpec, x):
+    """The statistic's elementwise score of the drawn values ``x``, an array:
+    a new array, or ``x`` itself where the score is the identity."""
+    f = _splits()[spec.method][0]
+    return x if f is None else f(x)
 
 
 def reduce(spec: MethodSpec, parts):
@@ -179,32 +201,6 @@ def evaluate_batch(spec: MethodSpec, pmatrix):
     return reduce(spec, (score(spec, pmatrix),))
 
 
-def _sum(values):
-    # left to right as ``fold`` adds columns: the builtin sum compensates from 3.12
-    return functools.reduce(operator.add, values)
-
-
-def _gm(logs, n):
-    return math.exp(_sum(logs) / n)
-
-
-# each statistic of one vector of Python floats (its normal scores for
-# Stouffer and Chen) and its length n
-_SCALAR = {
-    Method.TIPPETT: lambda p, n: min(p),
-    Method.FISHER: lambda p, n: -2.0 * _sum(map(math.log, p)),
-    Method.GEOMETRIC_MEAN: lambda p, n: _gm(map(math.log, p), n),
-    Method.MIN_GEOMETRIC_MEANS: lambda p, n: min(_gm(map(math.log, p), n),
-                                                 _gm([math.log(1.0 - v) for v in p], n)),
-    Method.STOUFFER: lambda z, n: _sum(z) / math.sqrt(n),
-    Method.WILKINSON: lambda p, n: max(p),
-    Method.EDGINGTON: lambda p, n: _sum(p) / n,
-    Method.MUDHOLKAR_GEORGE: lambda p, n: _sum([math.log1p(-v) - math.log(v) for v in p]),
-    Method.WILSON_HARMONIC: lambda p, n: n / _sum([1.0 / v for v in p]),
-    Method.CHEN: lambda z, n: _sum([v * v for v in z]),
-}
-
-
 def evaluate_statistic(spec: MethodSpec, p) -> float:
     """Evaluate one combined test statistic on a vector of p-values, each
     strictly inside (0, 1): values at exactly 0 or 1 are rejected, not
@@ -219,4 +215,5 @@ def evaluate_statistic(spec: MethodSpec, p) -> float:
         raise DomainError("every p-value must lie strictly inside (0, 1)")
     if spec.method in SCORE_STATISTICS:
         values = list(map(_probit(), values))
-    return _SCALAR[spec.method](values, len(values))
+    f, reduction = _FLOAT_ROWS[spec.method]
+    return reduction(values if f is None else list(map(f, values)), len(values))

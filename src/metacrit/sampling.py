@@ -18,7 +18,9 @@ count and each cell reads its own prefix: what a stream of its own gives.
 
 Every statistic is an elementwise score followed by a row reduction (see
 ``methods``).  A table therefore scores its prefix once as well: the fake
-pairs' minima, then in place every value that some cell reads as genuine.
+pairs' minima, then every value that some cell reads as genuine, a block at
+a time, each block's scores written back over it; an identity score (Tippett,
+min-gm, Stouffer, Wilkinson, Edgington) leaves the prefix as drawn.
 Each cell reduces all N rows at once from two views of the scored values,
 its fakes' minima and its genuine values, with no joined matrix.  A score
 depends on nothing but its element, and a reduction folds a row's columns
@@ -40,14 +42,13 @@ __all__ = [
     "replica_stream",
     "sample_pmatrix",
     "sample_cells",
-    "sample_statistic",
 ]
 
 DEFAULT_SEED = 20240101
 DEFAULT_Q_LEVELS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995)
 DEFAULT_N_SAMPLES = 4999
 DEFAULT_N_REPLICAS = 50
-_BLOCK = 65536  # values scored at a time
+_BLOCK = 16384  # values scored at a time: a score makes up to three such temporaries
 
 
 @dataclass(frozen=True)
@@ -155,18 +156,15 @@ def sample_cells(spec: MethodSpec, cells, N: int, stream):
     if not cells:
         return
     prefix = base, minima = _prefix(cells, N, stream, scores=spec.method in SCORE_STATISTICS)
-    # score each value some cell reads once: the pair minima, and in place the
-    # prefix from 2N·min n_f on (no cell reads a genuine value before that);
+    # score each value some cell reads once, over itself: the pair minima, and
+    # the prefix from 2N·min n_f on (no cell reads a genuine value before that);
     # for one cell that is exactly its N·n values.  In blocks, because
     # temporaries as large as the prefix would raise peak memory.
     for values in (minima, base[2 * N * min(n_f for _, n_f in cells):]):
         for a in range(0, values.size, _BLOCK):
             block = values[a:a + _BLOCK]
-            score(spec, block, out=block)
+            scored = score(spec, block)
+            if scored is not block:  # an identity score leaves the prefix as drawn
+                block[...] = scored
     for n, n_f in cells:
         yield reduce(spec, _parts(prefix, n, n_f, N))
-
-
-def sample_statistic(spec: MethodSpec, n: int, n_f: int, N: int, stream):
-    """N simulated values of the statistic for n p-values, n_f of them fake."""
-    return next(sample_cells(spec, [(n, n_f)], N, stream))

@@ -161,7 +161,9 @@ def invert_cdf(cdf, q, lo, hi):
 
     Returns ``lo`` when cdf(lo) >= q.  Otherwise ``hi`` doubles until
     cdf(hi) >= q, and Illinois regula falsi (Dowell & Jarratt, BIT 11:168,
-    1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  It
+    1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  While
+    lo is 0 it steps in log space, so a root far below hi, even a subnormal
+    one, takes tens of evaluations, not one per binade.  It
     stops when |cdf(x) - q| <= 1e-12 * min(q, 1 - q), so lower tails keep
     relative accuracy, or when the bracket is 1e-15 of ``hi`` wide.  It
     raises ``ConvergenceError`` when the quantile underflows: cdf already
@@ -185,7 +187,14 @@ def invert_cdf(cdf, q, lo, hi):
         raise ConvergenceError(f"the quantile at q={q:g} underflows below the smallest double")
     kept = 0  # the end kept by the last step: -1 lo, +1 hi
     for _ in range(_MAX_INVERT_ITER):
-        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if lo == 0.0:
+            # in log space: hi times the secant's ratio, which cannot cancel to 0,
+            # or else the middle binade between the smallest double and hi
+            x = hi * (flo / (flo - fhi))
+            if not 0.0 < x < hi:
+                x = math.sqrt(math.ulp(0.0)) * math.sqrt(hi)
+        else:
+            x = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             # two adjacent doubles the width test cannot stop on: subnormals

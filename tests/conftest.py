@@ -1,4 +1,5 @@
-"""Shared fixtures: loaders for the published reference quantile tables.
+"""Shared fixtures: loaders for the published reference quantile tables, and
+the checkout's ``src`` on the path of every interpreter a test starts.
 
 tests/data/reference_tables/<token>.csv holds the printed critical values
 (four or five decimals) with their standard errors where the source
@@ -6,11 +7,17 @@ tabulation was simulated; exact entries have an empty stderr field.
 """
 
 import csv
+import os
 from pathlib import Path
 
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data" / "reference_tables"
+
+# the interpreters the tests start import this checkout as well, as
+# ``pythonpath`` in pyproject.toml makes the test process do
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 METHOD_TOKENS = (
     "tippett", "fisher", "gm", "min-gm", "stouffer",

@@ -215,6 +215,33 @@ class TestScalarStatistic:
             assert np.allclose(single, batch, rtol=1e-13, atol=0.0)
 
 
+class TestTailRule:
+    # the levels a level-alpha test reads and its rejection region, shared by
+    # combine and the demos; a statistic equal to a critical value rejects
+    @pytest.mark.parametrize("tail, levels", [(Tail.LOWER, (0.05,)), (Tail.UPPER, (0.95,)),
+                                              (Tail.BOTH, (0.025, 0.975))],
+                             ids=lambda v: getattr(v, "value", None))
+    def test_levels(self, tail, levels):
+        assert MethodSpec(Method.CHEN, tail).levels(0.05) == levels
+
+    def test_lower_tail(self):
+        s = MethodSpec(Method.FISHER, Tail.LOWER)
+        assert s.rejects(1.0, [1.0]) and s.rejects(0.5, [1.0])
+        assert not s.rejects(math.nextafter(1.0, 2.0), [1.0])
+
+    def test_upper_tail(self):
+        s = MethodSpec(Method.FISHER, Tail.UPPER)
+        assert s.rejects(1.0, [1.0]) and s.rejects(2.0, [1.0])
+        assert not s.rejects(math.nextafter(1.0, 0.0), [1.0])
+
+    def test_both_tails(self):
+        s = MethodSpec(Method.CHEN, Tail.BOTH)
+        for t in (-1.0, 1.0, -5.0, 5.0):
+            assert s.rejects(t, [-1.0, 1.0])
+        for t in (math.nextafter(-1.0, 0.0), 0.0, math.nextafter(1.0, 0.0)):
+            assert not s.rejects(t, [-1.0, 1.0])
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [[], [0.0, 0.5], [0.5, 1.0], [0.5, np.nan], [-0.1]])
     def test_rejects_bad_vectors(self, bad):

@@ -10,7 +10,7 @@ import metacrit.sampling as sampling
 from metacrit.estimation import simulate_cells
 from metacrit.methods import (SCORE_STATISTICS, Method, MethodSpec, evaluate_batch, reduce,
                               score)
-from metacrit.sampling import SimConfig, replica_stream, sample_pmatrix, sample_statistic
+from metacrit.sampling import SimConfig, replica_stream, sample_cells, sample_pmatrix
 from metacrit.special import DomainError
 
 
@@ -67,7 +67,7 @@ class TestFakeScores:
         # min(Z1, Z2) is skew-normal with alpha = -1: mean -1/sqrt(pi),
         # variance 1 - 1/pi; Stouffer at n = n_f = 1 is the score itself
         N = 200_000
-        z = sample_statistic(MethodSpec(Method.STOUFFER), 1, 1, N, replica_stream(6, 0))
+        z = next(sample_cells(MethodSpec(Method.STOUFFER), [(1, 1)], N, replica_stream(6, 0)))
         mean, var = z.mean(), z.var()
         assert abs(mean + 1 / math.sqrt(math.pi)) < 4 * math.sqrt(var / N)
         se_var = math.sqrt(np.var((z - mean) ** 2) / N)
@@ -129,7 +129,7 @@ class TestStreams:
         expected = {Method.STOUFFER: np.sum(z, axis=-1) / np.sqrt(n),
                     Method.CHEN: np.sum(z * z, axis=-1)}
         for method, want in expected.items():
-            drawn = sample_statistic(MethodSpec(method), n, n_f, N, replica_stream(17, 3))
+            drawn = next(sample_cells(MethodSpec(method), [(n, n_f)], N, replica_stream(17, 3)))
             assert np.array_equal(drawn, want)
 
     @pytest.mark.parametrize("method", list(Method))
@@ -139,7 +139,7 @@ class TestStreams:
         # once must agree float for float
         n, n_f, N = 26, 8, 4999
         spec = MethodSpec(method)
-        drawn = sample_statistic(spec, n, n_f, N, replica_stream(17, 3))
+        drawn = next(sample_cells(spec, [(n, n_f)], N, replica_stream(17, 3)))
         twin = replica_stream(17, 3)
         if method in SCORE_STATISTICS:
             fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
@@ -155,9 +155,9 @@ class TestStreams:
         # first value any cell reads as genuine; a lone cell scores its N·n values
         seen = []
 
-        def counting_score(spec, x, out=None):
+        def counting_score(spec, x):
             seen.append(x.size)
-            return score(spec, x, out=out)
+            return score(spec, x)
 
         monkeypatch.setattr(sampling, "score", counting_score)
         spec, N, R = MethodSpec(method), 199, 2
@@ -170,6 +170,28 @@ class TestStreams:
             seen.clear()
             simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R)])
             assert sum(seen) == R * N * n
+
+    @pytest.mark.parametrize("method", [Method.TIPPETT, Method.MUDHOLKAR_GEORGE])
+    def test_identity_score_leaves_the_prefix_unwritten(self, method, monkeypatch):
+        # Tippett scores by the identity, so its drawn prefix is read, never
+        # written: a read-only draw gives the statistic of a writable one,
+        # while a method with a score must write its scores back
+        draw = sampling._draw
+
+        def read_only_draw(stream, size, scores):
+            drawn = draw(stream, size, scores)
+            drawn.flags.writeable = False
+            return drawn
+
+        spec, cells, N = MethodSpec(method), [(5, 2), (3, 0), (4, 4)], 999
+        want = list(sample_cells(spec, cells, N, replica_stream(17, 3)))
+        monkeypatch.setattr(sampling, "_draw", read_only_draw)
+        if method is Method.TIPPETT:
+            got = list(sample_cells(spec, cells, N, replica_stream(17, 3)))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                list(sample_cells(spec, cells, N, replica_stream(17, 3)))
 
     def test_no_cells_draw_nothing(self):
         stream = replica_stream(17, 3)

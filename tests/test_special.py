@@ -244,6 +244,36 @@ class TestRootFinder:
             invert_cdf(cdf, 1e-300, 0.0, 1.0)
         assert len(calls) <= 5
 
+    @pytest.mark.parametrize("cdf, q, root", [
+        (math.sqrt, 1e-100, 1e-200),
+        (lambda x: x * (2.0 - x), 1e-50, 5e-51),  # Wilkinson n = n_f = 1
+        (lambda x: reg_lower_gamma(0.5, x), 1e-50, math.pi / 4 * 1e-100),  # Chen n = 1, halved
+    ], ids=["sqrt", "wilkinson-1-1", "gamma-half"])
+    def test_root_near_zero_in_few_evaluations(self, cdf, q, root):
+        # from lo = 0 the steps go in log space: halving [0, 1] took one
+        # evaluation per binade, 675 for sqrt at q = 1e-100
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return cdf(x)
+
+        assert invert_cdf(counted, q, 0.0, 1.0) == pytest.approx(root, rel=1e-11)
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize("q", [1e-160, 2.5e-162])
+    def test_subnormal_root_refused_in_few_evaluations(self, q):
+        # sqrt's root q^2 lies strictly between two adjacent subnormals
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.sqrt(x)
+
+        with pytest.raises(ConvergenceError, match=rf"q={q:g} underflows: no double lies"):
+            invert_cdf(counted, q, 0.0, 1.0)
+        assert len(calls) <= 100
+
     def test_grows_bracket(self):
         # 1 - e^-x reaches 0.999 only at x = ln 1000, past three doublings of hi
         root = invert_cdf(lambda x: -math.expm1(-x), 0.999, 0.0, 1.0)
