@@ -8,13 +8,12 @@ error, 3 not-found / unsupported combination.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import collections
 import json
 import os
 import sys
 from pathlib import Path
 
-from .diagnostics import ecdf, ks_critical_value, ks_distance, write_ecdf_csv
 from .estimation import SIMULATED, QuantileEstimate
 from .exact import UnsupportedExactError, has_exact_quantile
 from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
@@ -47,21 +46,13 @@ class CliError(ValueError):
         self.code = code
 
 
-@dataclasses.dataclass(frozen=True)
-class Decision:
+class Decision(collections.namedtuple(
+        "Decision", "method tail n n_f alpha statistic criticals reject sim")):
     """Verdict on the overall null: all individual nulls true.  ``criticals``
     holds one QuantileEstimate per level; ``sim`` is the (N, R, seed) that
     reproduces a simulated one."""
 
-    method: str
-    tail: str
-    n: int
-    n_f: int
-    alpha: float
-    statistic: float
-    criticals: tuple
-    reject: bool
-    sim: tuple
+    __slots__ = ()
 
     def _record(self, est: QuantileEstimate) -> dict:
         rec = {"q": est.q, "value": est.estimate, "source": est.provenance, "stderr": est.stderr}
@@ -72,7 +63,7 @@ class Decision:
 
     def to_json(self) -> str:
         # the record's keys are the fields in declaration order, less ``sim``
-        rec = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        rec = self._asdict()
         rec["criticals"] = [self._record(c) for c in self.criticals]
         del rec["sim"]
         return json.dumps(rec)
@@ -242,6 +233,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .diagnostics import ecdf, ks_critical_value, ks_distance, write_ecdf_csv
     spec = MethodSpec(parse_method(args.method))
     if args.out:
         _check_writable(args.out)
@@ -267,6 +259,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ecdf(args) -> int:
+    from .diagnostics import ecdf, write_ecdf_csv
     spec = MethodSpec(parse_method(args.method))
     _check_writable(args.out)
     dump = ecdf(spec, args.n, args.nf, args.N, args.seed)

@@ -6,8 +6,8 @@ against the exact laws where those exist.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .exact import exact_cdf
 from .methods import MethodSpec
@@ -25,17 +25,10 @@ __all__ = [
 _KS_MULTIPLIER = {0.05: 1.358, 0.01: 1.629}
 
 
-@dataclass(frozen=True)
-class EcdfDump:
+class EcdfDump(collections.namedtuple("EcdfDump", "values heights spec n n_f N seed")):
     """Sorted statistic values with ECDF heights i/N (arrays) plus provenance."""
 
-    values: object
-    heights: object
-    spec: MethodSpec
-    n: int
-    n_f: int
-    N: int
-    seed: int
+    __slots__ = ()
 
 
 def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int) -> EcdfDump:

@@ -10,10 +10,10 @@ parallel work: each is a pure function of (seed, replica index).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 from .methods import MethodSpec
 from .sampling import SimConfig, replica_stream, sample_cells
@@ -37,19 +37,15 @@ SIMULATED = "simulated"
 _INDEX_GUARD = 1e-7
 
 
-@dataclass(frozen=True)
-class QuantileEstimate:
+class QuantileEstimate(collections.namedtuple(
+        "QuantileEstimate", "q estimate stderr replicas provenance", defaults=(SIMULATED,))):
     """One estimated (or exact) quantile.
 
     ``stderr`` is None when the value is exact or when R = 1 leaves the
     standard error unavailable.
     """
 
-    q: float
-    estimate: float
-    stderr: float | None
-    replicas: int
-    provenance: str = SIMULATED
+    __slots__ = ()
 
 
 def quantile_index(N: int, q: float) -> int:

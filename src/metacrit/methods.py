@@ -22,12 +22,12 @@ exp may differ from libm's in the last bit, agrees to 1e-13 relative.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
 import operator
 import types
-from dataclasses import dataclass
 
 from .special import DomainError, _probit, normal_inv_cdf
 
@@ -95,17 +95,14 @@ def parse_method(name: str) -> Method:
     return _TOKENS[token]
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(collections.namedtuple("MethodSpec", "method tail")):
     """A combined test: method id and rejection tail (the method's default
     tail when omitted)."""
 
-    method: Method
-    tail: Tail = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tail is None:
-            object.__setattr__(self, "tail", DEFAULT_TAILS[self.method])
+    def __new__(cls, method: Method, tail: Tail | None = None):
+        return tuple.__new__(cls, (method, DEFAULT_TAILS[method] if tail is None else tail))
 
     def levels(self, alpha: float) -> tuple:
         """The increasing quantile levels that bound a level-``alpha`` test."""

@@ -30,7 +30,7 @@ one a cell of its own computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import collections
 
 from .methods import SCORE_STATISTICS, MethodSpec, reduce, score
 from .special import DomainError
@@ -51,8 +51,7 @@ DEFAULT_N_REPLICAS = 50
 _BLOCK = 16384  # values scored at a time: a score makes up to three such temporaries
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
     """Descriptor of one simulation experiment.
 
     n        sample size (number of p-values combined)
@@ -63,28 +62,24 @@ class SimConfig:
     q_list   quantile levels, strictly increasing inside (0, 1)
     """
 
-    n: int
-    n_f: int
-    N: int = DEFAULT_N_SAMPLES
-    R: int = DEFAULT_N_REPLICAS
-    seed: int = DEFAULT_SEED
-    q_list: tuple = field(default=DEFAULT_Q_LEVELS)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, n_f: int, N: int = DEFAULT_N_SAMPLES, R: int = DEFAULT_N_REPLICAS,
+                seed: int = DEFAULT_SEED, q_list: tuple = DEFAULT_Q_LEVELS):
+        if n < 1:
             raise DomainError("sample size n must be >= 1")
-        if not (0 <= self.n_f <= self.n):
+        if not (0 <= n_f <= n):
             raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
-        if self.N < 1 or self.R < 1:
+        if N < 1 or R < 1:
             raise DomainError("N and R must be >= 1")
-        qs = tuple(float(q) for q in self.q_list)
+        qs = tuple(float(q) for q in q_list)
         if len(qs) == 0:
             raise DomainError("q_list must be non-empty")
         if any(not (0.0 < q < 1.0) for q in qs):
             raise DomainError("quantile levels must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise DomainError("quantile levels must be strictly increasing")
-        object.__setattr__(self, "q_list", qs)
+        return tuple.__new__(cls, (n, n_f, N, R, seed, qs))
 
 
 def replica_stream(seed: int, replica_index: int):

@@ -10,8 +10,8 @@ worker count.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass, field
 
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
@@ -75,48 +75,49 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.6g}"
 
 
-@dataclass(frozen=True)
-class TableCell:
-    method: Method
-    n: int
-    n_f: int
-    q: float
-    estimate: float
-    stderr: float | None
-    provenance: str
+class TableCell(collections.namedtuple(
+        "TableCell", "method n n_f q estimate stderr provenance")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, method: Method, n: int, n_f: int, q: float, estimate: float,
+                stderr: float | None, provenance: str):
         # a nan or infinite critical value would decide every comparison one
         # way; simulated cells may lack a stderr only when R = 1, and exact
         # cells never carry one
-        if self.provenance not in (EXACT, SIMULATED):
-            raise DomainError(f"unknown provenance {self.provenance!r}")
-        if not math.isfinite(self.estimate):
-            raise DomainError(f"estimate must be finite, got {self.estimate!r}")
-        if self.stderr is not None and not (math.isfinite(self.stderr) and self.stderr >= 0.0):
-            raise DomainError(f"stderr must be finite and >= 0, got {self.stderr!r}")
-        if self.provenance == EXACT and self.stderr is not None:
+        if provenance not in (EXACT, SIMULATED):
+            raise DomainError(f"unknown provenance {provenance!r}")
+        if not math.isfinite(estimate):
+            raise DomainError(f"estimate must be finite, got {estimate!r}")
+        if stderr is not None and not (math.isfinite(stderr) and stderr >= 0.0):
+            raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
+        if provenance == EXACT and stderr is not None:
             raise DomainError("exact cells carry no standard error")
+        return tuple.__new__(cls, (method, n, n_f, q, estimate, stderr, provenance))
 
 
-@dataclass
 class CriticalValueTable:
     """Cells indexed by (method, n, n_f, q) plus generation metadata.  numpy is
     imported for its version only when none is given, never by ``read_csv``."""
 
-    cells: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-    N: int = DEFAULT_N_SAMPLES
-    R: int = DEFAULT_N_REPLICAS
-    version: str = __version__
-    numpy: str = field(default_factory=lambda: __import__("numpy").__version__)
+    def __init__(self, cells: dict | None = None, seed: int = DEFAULT_SEED,
+                 N: int = DEFAULT_N_SAMPLES, R: int = DEFAULT_N_REPLICAS,
+                 version: str = __version__, numpy: str | None = None):
+        self.cells = {} if cells is None else cells
+        self.seed, self.N, self.R, self.version = seed, N, R, version
+        self.numpy = __import__("numpy").__version__ if numpy is None else numpy
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, cell: TableCell):
-        key = (cell.method, cell.n, cell.n_f, cell.q)
-        if key in self.cells:
+        # one hash of the key, whose Method hashes in Python
+        size = len(self.cells)
+        self.cells.setdefault((cell.method, cell.n, cell.n_f, cell.q), cell)
+        if len(self.cells) == size:
             raise DomainError(f"duplicate table key ({cell.method.token}, n={cell.n}, "
                               f"n_f={cell.n_f}, q={cell.q!r})")
-        self.cells[key] = cell
 
     def sorted_cells(self):
         return sorted(
@@ -244,6 +245,7 @@ def write_csv(table: CriticalValueTable, path):
 def read_csv(path) -> CriticalValueTable:
     """Parse a table written by ``write_csv``; the round trip is lossless."""
     table = CriticalValueTable(version="", numpy="")
+    methods = {}  # each distinct method token is parsed once per file
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -264,17 +266,13 @@ def read_csv(path) -> CriticalValueTable:
             parts = line.split(",")
             if len(parts) != 7:
                 raise TableParseError(f"line {lineno}: expected 7 fields, got {len(parts)}")
+            token, n, n_f, q, estimate, stderr, provenance = parts
             try:
-                cell = TableCell(
-                    method=parse_method(parts[0]),
-                    n=int(parts[1]),
-                    n_f=int(parts[2]),
-                    q=float(parts[3]),
-                    estimate=float(parts[4]),
-                    stderr=float(parts[5]) if parts[5] else None,
-                    provenance=parts[6],
-                )
-                table.add(cell)
+                method = methods.get(token)
+                if method is None:
+                    method = methods[token] = parse_method(token)
+                table.add(TableCell(method, int(n), int(n_f), float(q), float(estimate),
+                                    float(stderr) if stderr else None, provenance))
             except (ValueError, DomainError) as err:
                 raise TableParseError(f"line {lineno}: {err}") from err
     return table

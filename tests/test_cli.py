@@ -522,14 +522,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "gen-table" in proc.stdout
 
-    def test_cold_start_imports_no_pool(self):
-        # concurrent.futures (and the logging it pulls in) is imported only
-        # where a pool starts
-        proc = subprocess.run([sys.executable, "-c", "import sys, metacrit.cli; "
-                               "print('concurrent.futures' in sys.modules)"],
-                              capture_output=True, text=True)
+    def test_cold_start_imports_no_heavy_module(self):
+        # numpy loads with the first simulation, concurrent.futures (and the
+        # logging it pulls in) where a pool starts, and the records need no
+        # dataclasses (nor the inspect it pulls in); what the interpreter
+        # loaded before, a site hook's imports included, does not count
+        script = ("import sys; before = set(sys.modules); import metacrit.cli; "
+                  "print(*sorted(set(sys.modules) - before), sep='\\n')")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        added = set(proc.stdout.split())
+        assert "metacrit.cli" in added
+        assert not added & {"dataclasses", "inspect", "numpy", "concurrent.futures"}
+        assert "metacrit.diagnostics" not in added
 
     def test_exact_and_table_paths_import_no_numpy(self, tmp_path):
         # numpy loads with the first simulation: an exact or --table decision,

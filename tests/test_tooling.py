@@ -8,7 +8,9 @@ cannot leave a stale export behind, and only names that code outside the
 tests reaches, so no public name exists only for its tests.  The runtime
 imports nothing but numpy and the standard library: scipy and mpmath are
 test oracles only.  numpy is imported inside the functions that use arrays,
-never when a module loads, so exact and table lookups run without it.
+never when a module loads, so exact and table lookups run without it, and
+no module imports ``dataclasses``, whose own imports would dominate a cold
+start.
 """
 
 import ast
@@ -81,17 +83,29 @@ def test_exports_are_reached_outside_the_tests(module):
     assert not unused, f"metacrit.{module}.__all__ names {unused}, reached only by tests"
 
 
-@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
-def test_runtime_imports_only_numpy_and_stdlib(source):
-    # every absolute import, including those inside functions
+def imported_roots(nodes):
+    # the top-level package of every absolute import among ``nodes``
     roots = set()
-    for node in ast.walk(ast.parse(source.read_text())):
+    for node in nodes:
         if isinstance(node, ast.Import):
             roots.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_runtime_imports_only_numpy_and_stdlib(source):
+    # every absolute import, including those inside functions
+    roots = imported_roots(ast.walk(ast.parse(source.read_text())))
     foreign = sorted(roots - {"numpy"} - sys.stdlib_module_names)
     assert not foreign, f"{source.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_records_need_no_dataclasses(source):
+    # dataclasses pulls inspect, ast, dis and tokenize into every cold start
+    assert "dataclasses" not in imported_roots(ast.walk(ast.parse(source.read_text())))
 
 
 def import_time_nodes(tree):
@@ -106,10 +120,5 @@ def import_time_nodes(tree):
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
 def test_numpy_is_imported_only_inside_functions(source):
-    roots = set()
-    for node in import_time_nodes(ast.parse(source.read_text())):
-        if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            roots.add(node.module.split(".")[0])
+    roots = imported_roots(import_time_nodes(ast.parse(source.read_text())))
     assert "numpy" not in roots, f"{source.name} imports numpy when it loads"
