@@ -8,7 +8,6 @@ error, 3 not-found / unsupported combination.
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import os
 import sys
@@ -44,29 +43,6 @@ class CliError(ValueError):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
-
-
-class Decision(collections.namedtuple(
-        "Decision", "method tail n n_f alpha statistic criticals reject sim")):
-    """Verdict on the overall null: all individual nulls true.  ``criticals``
-    holds one QuantileEstimate per level; ``sim`` is the (N, R, seed) that
-    reproduces a simulated one."""
-
-    __slots__ = ()
-
-    def _record(self, est: QuantileEstimate) -> dict:
-        rec = {"q": est.q, "value": est.estimate, "source": est.provenance, "stderr": est.stderr}
-        if est.provenance == SIMULATED:
-            N, R, seed = self.sim
-            rec.update(seed=seed, N=N, R=R)
-        return rec
-
-    def to_json(self) -> str:
-        # the record's keys are the fields in declaration order, less ``sim``
-        rec = self._asdict()
-        rec["criticals"] = [self._record(c) for c in self.criticals]
-        del rec["sim"]
-        return json.dumps(rec)
 
 
 def _parse_seed(text: str) -> int:
@@ -132,6 +108,15 @@ def _check_writable(path):
         raise CliError(f"cannot write {path}: {err}", EXIT_USAGE)
     if not existed:
         os.remove(path)
+
+
+def _record(est: QuantileEstimate, sim) -> dict:
+    # a simulated critical value carries the (N, R, seed) that reproduces it
+    rec = {"q": est.q, "value": est.estimate, "source": est.provenance, "stderr": est.stderr}
+    if est.provenance == SIMULATED:
+        N, R, seed = sim
+        rec.update(seed=seed, N=N, R=R)
+    return rec
 
 
 def _fmt_critical(est: QuantileEstimate) -> str:
@@ -209,22 +194,14 @@ def _cmd_combine(args) -> int:
                                     sim=sim)
     reject = spec.rejects(statistic, [c.estimate for c in criticals])
 
-    decision = Decision(
-        method=spec.method.token,
-        tail=spec.tail.value,
-        n=n,
-        n_f=args.nf,
-        alpha=args.alpha,
-        statistic=statistic,
-        criticals=tuple(criticals),
-        reject=reject,
-        sim=sim,
-    )
+    method, tail = spec.method.token, spec.tail.value
     if args.json:
-        print(decision.to_json())
+        print(json.dumps({"method": method, "tail": tail, "n": n, "n_f": args.nf,
+                          "alpha": args.alpha, "statistic": statistic,
+                          "criticals": [_record(c, sim) for c in criticals],
+                          "reject": reject}))
     else:
-        print(f"method={decision.method} tail={decision.tail} n={n} n_f={args.nf} "
-              f"alpha={args.alpha:g}")
+        print(f"method={method} tail={tail} n={n} n_f={args.nf} alpha={args.alpha:g}")
         print(f"statistic = {statistic:.6g}")
         for c in criticals:
             print(_fmt_critical(c))
@@ -233,10 +210,8 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .diagnostics import ecdf, ks_critical_value, ks_distance, write_ecdf_csv
+    from .diagnostics import ecdf, ks_critical_value, ks_distance
     spec = MethodSpec(parse_method(args.method))
-    if args.out:
-        _check_writable(args.out)
     if not has_exact_quantile(spec, args.n, args.nf):
         print(
             f"no exact law to validate against for {spec.method.token} "
@@ -252,9 +227,6 @@ def _cmd_validate(args) -> int:
     print(f"method={spec.method.token} n={args.n} n_f={args.nf} N={args.N} seed={args.seed}")
     print(f"ks_distance = {dist:.6f}  critical[5%] = {c05:.6f}  critical[1%] = {c01:.6f}")
     print(f"fit at the 1% level: {verdict}")
-    if args.out:
-        write_ecdf_csv(dump, args.out, include_exact=True)
-        print(f"wrote ECDF dump to {args.out}")
     return EXIT_OK
 
 
@@ -262,9 +234,7 @@ def _cmd_ecdf(args) -> int:
     from .diagnostics import ecdf, write_ecdf_csv
     spec = MethodSpec(parse_method(args.method))
     _check_writable(args.out)
-    dump = ecdf(spec, args.n, args.nf, args.N, args.seed)
-    include_exact = has_exact_quantile(spec, args.n, args.nf)
-    write_ecdf_csv(dump, args.out, include_exact=include_exact)
+    write_ecdf_csv(ecdf(spec, args.n, args.nf, args.N, args.seed), args.out)
     print(f"wrote {args.N} ECDF rows to {args.out}")
     return EXIT_OK
 
@@ -330,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--method", required=True)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--nf", type=int, required=True)
-    v.add_argument("--out", default=None, help="optionally dump the ECDF CSV here")
     _add_sim_flags(v, with_R=False)
     v.set_defaults(func=_cmd_validate)
 
@@ -349,7 +318,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+        if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except CliError as err:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import collections
 import math
 
-from .exact import exact_cdf
+from .exact import exact_cdf, has_exact_quantile
 from .methods import MethodSpec
 from .sampling import replica_stream, sample_cells
 from .special import DomainError
@@ -25,8 +25,9 @@ __all__ = [
 _KS_MULTIPLIER = {0.05: 1.358, 0.01: 1.629}
 
 
-class EcdfDump(collections.namedtuple("EcdfDump", "values heights spec n n_f N seed")):
-    """Sorted statistic values with ECDF heights i/N (arrays) plus provenance."""
+class EcdfDump(collections.namedtuple("EcdfDump", "values spec n n_f N seed")):
+    """Sorted statistic values (an array) plus provenance; the ECDF height
+    at the i-th value is i/N."""
 
     __slots__ = ()
 
@@ -36,8 +37,7 @@ def ecdf(spec: MethodSpec, n: int, n_f: int, N: int, seed: int) -> EcdfDump:
     first replica."""
     import numpy as np
     stats = np.sort(next(sample_cells(spec, [(n, n_f)], N, replica_stream(seed, 0))))
-    heights = np.arange(1, N + 1) / N
-    return EcdfDump(values=stats, heights=heights, spec=spec, n=n, n_f=n_f, N=N, seed=seed)
+    return EcdfDump(values=stats, spec=spec, n=n, n_f=n_f, N=N, seed=seed)
 
 
 def ks_distance(dump: EcdfDump) -> float:
@@ -46,8 +46,9 @@ def ks_distance(dump: EcdfDump) -> float:
     none.  Both one-sided gaps are taken at every jump."""
     import numpy as np
     theo = exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)
-    upper = np.max(dump.heights - theo)
-    lower = np.max(theo - (dump.heights - 1.0 / dump.N))
+    heights = np.arange(1, dump.N + 1) / dump.N
+    upper = np.max(heights - theo)
+    lower = np.max(theo - (heights - 1.0 / dump.N))
     return float(max(upper, lower, 0.0))
 
 
@@ -58,15 +59,15 @@ def ks_critical_value(N: int, level: float = 0.01) -> float:
     return _KS_MULTIPLIER[level] / math.sqrt(N)
 
 
-def write_ecdf_csv(dump: EcdfDump, path, include_exact: bool = False):
-    """Dump `x,ecdf[,exact_cdf]` rows for external plotting."""
-    exact = None
-    if include_exact:
-        exact = exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)
+def write_ecdf_csv(dump: EcdfDump, path):
+    """Dump `x,ecdf` rows for external plotting, with an `exact_cdf` column
+    when (method, n, n_f) has an exact law."""
+    columns = [[float(x) for x in dump.values], [i / dump.N for i in range(1, dump.N + 1)]]
+    header = "x,ecdf"
+    if has_exact_quantile(dump.spec, dump.n, dump.n_f):
+        columns.append([float(c) for c in exact_cdf(dump.spec, dump.n, dump.n_f, dump.values)])
+        header += ",exact_cdf"
     with open(path, "w", newline="") as f:
-        f.write("x,ecdf,exact_cdf\n" if include_exact else "x,ecdf\n")
-        for i in range(dump.N):
-            row = f"{float(dump.values[i])!r},{float(dump.heights[i])!r}"
-            if include_exact:
-                row += f",{float(exact[i])!r}"
-            f.write(row + "\n")
+        f.write(header + "\n")
+        for row in zip(*columns):
+            f.write(",".join(map(repr, row)) + "\n")

@@ -20,7 +20,6 @@ from .methods import Method, MethodSpec
 from .special import (
     DomainError,
     _map,
-    chisq_quantile,
     gamma_quantile,
     invert_cdf,
     normal_cdf,
@@ -95,9 +94,9 @@ _LAWS = {
                        lambda n, n_f, q: (q ** (1.0 / n) if n_f == 0
                                           else _cdf_root(_wilkinson_cdf, n, n_f, q)),
                        _wilkinson_cdf),
-    Method.FISHER: (_genuine_only, lambda n, n_f, q: chisq_quantile(2 * n, q),
+    Method.FISHER: (_genuine_only, lambda n, n_f, q: 2.0 * gamma_quantile(n, q),
                     lambda n, n_f, x: reg_lower_gamma(n, max(x, 0.0) / 2.0)),
-    Method.CHEN: (_genuine_only, lambda n, n_f, q: chisq_quantile(n, q),
+    Method.CHEN: (_genuine_only, lambda n, n_f, q: 2.0 * gamma_quantile(n / 2.0, q),
                   lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0)),
     Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
                       lambda n, n_f, x: normal_cdf(x)),

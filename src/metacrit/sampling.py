@@ -72,6 +72,8 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
             raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
         if N < 1 or R < 1:
             raise DomainError("N and R must be >= 1")
+        if seed < 0:
+            raise DomainError("seed must be nonnegative")
         qs = tuple(float(q) for q in q_list)
         if len(qs) == 0:
             raise DomainError("q_list must be non-empty")

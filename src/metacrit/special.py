@@ -1,6 +1,6 @@
 """Numerical special functions: normal CDF/quantile, regularized incomplete
-gamma, chi-square and gamma quantiles, and ``invert_cdf``, the one solver
-that finds a quantile without a closed form as the root of its CDF.
+gamma and its quantile, and ``invert_cdf``, the one solver that finds a
+quantile without a closed form as the root of its CDF.
 
 Everything here is pure and reentrant, and each kernel is a function of
 one float.  ``_map`` is the one helper that maps a kernel over an array, so
@@ -24,7 +24,6 @@ __all__ = [
     "normal_inv_cdf",
     "reg_lower_gamma",
     "gamma_quantile",
-    "chisq_quantile",
     "invert_cdf",
 ]
 
@@ -229,13 +228,3 @@ def gamma_quantile(shape, q):
     return invert_cdf(lambda x: reg_lower_gamma(shape, x), q,
                       0.0, shape + 10.0 * math.sqrt(shape) + 10.0)
 
-
-def chisq_quantile(df, q):
-    """Quantile of the chi-square distribution with ``df`` degrees of freedom.
-
-    Exactly ``2 * gamma_quantile(df / 2, q)``.
-    """
-    df = float(df)
-    if df < 1.0:
-        raise DomainError("degrees of freedom must be >= 1")
-    return 2.0 * gamma_quantile(df / 2.0, q)

@@ -54,16 +54,13 @@ class TableParseError(ValueError):
 
 
 class TableGenerationError(RuntimeError):
-    """One or more grid cells failed; carries per-cell reports, and names
-    each distinct failure once, with the cells it hit."""
+    """A table's one resolver call failed; names the failure once, then the
+    cells it hit, and keeps an (n, n_f, msg) report a cell in ``failures``."""
 
-    def __init__(self, failures):
-        self.failures = list(failures)
-        cells = {}
-        for n, n_f, msg in self.failures:
-            cells.setdefault(msg, []).append(f"(n={n}, n_f={n_f})")
-        lines = "; ".join(f"{msg} at {', '.join(at)}" for msg, at in cells.items())
-        super().__init__(f"table generation failed for {len(self.failures)} cell(s): {lines}")
+    def __init__(self, msg, cells):
+        self.failures = [(n, n_f, msg) for n, n_f in cells]
+        at = ", ".join(f"(n={n}, n_f={n_f})" for n, n_f in cells)
+        super().__init__(f"table generation failed for {len(self.failures)} cell(s): {msg} at {at}")
 
 
 def _canonical(x: float | None) -> float | None:
@@ -215,8 +212,7 @@ def generate_table(
         resolved = resolve_quantiles(spec, grid, tuple(q_list), use_exact=use_exact,
                                      sim=(N, R, seed), workers=workers)
     except _CELL_FAILURES as err:
-        msg = f"{type(err).__name__}: {err}"
-        raise TableGenerationError([(n, n_f, msg) for n, n_f in grid]) from err
+        raise TableGenerationError(f"{type(err).__name__}: {err}", grid) from err
 
     table = CriticalValueTable(seed=seed, N=N, R=R)
     for (n, n_f), estimates in zip(grid, resolved):

@@ -219,11 +219,21 @@ class TestCombine:
         assert code == 0
         assert out.split()[0] == f"{crit['value']:.6g}"
 
-    def test_exact_record_keys(self, capsys):
-        code, out, _ = run(capsys, "combine", "--method", "fisher", "--nf", "0",
-                           "--alpha", "0.05", "--p", "0.2,0.7,0.4", "--json")
+    @pytest.mark.parametrize("nf, sim", [("0", {}), ("1", {"seed": 7, "N": 99, "R": 3})],
+                             ids=["exact", "simulated"])
+    def test_exact_record_keys(self, nf, sim, capsys):
+        # the keys and their order are fixed; only a simulated critical value
+        # carries the seed, N and R that reproduce it
+        code, out, _ = run(capsys, "combine", "--method", "fisher", "--nf", nf,
+                           "--alpha", "0.05", "--p", "0.2,0.7,0.4",
+                           "--N", "99", "--R", "3", "--seed", "7", "--json")
         assert code == 0
-        assert list(json.loads(out)["criticals"][0]) == ["q", "value", "source", "stderr"]
+        rec = json.loads(out)
+        assert list(rec) == ["method", "tail", "n", "n_f", "alpha", "statistic", "criticals",
+                             "reject"]
+        [crit] = rec["criticals"]
+        assert list(crit) == ["q", "value", "source", "stderr", *sim]
+        assert {key: crit[key] for key in sim} == sim
 
     def test_tail_both_reads_table_once(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "chen.csv"
@@ -311,11 +321,10 @@ class TestSourceUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ("gen-table", "--method", "mg", "--n-max", "4", "--N", "99", "--R", "2"),
-        ("validate", "--method", "tippett", "--n", "3", "--nf", "0", "--N", "99"),
         ("ecdf", "--method", "mg", "--n", "3", "--nf", "1", "--N", "99"),
     ], ids=lambda a: a[0])
     def test_unwritable_out_is_usage_error(self, argv, tmp_path):
-        # refused before any work: no table, verdict or ECDF is computed first
+        # refused before any work: no table or ECDF is computed first
         path = tmp_path / "absent" / "x.csv"
         proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *argv, "--out", str(path)],
                               capture_output=True, text=True)

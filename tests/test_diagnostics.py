@@ -16,15 +16,22 @@ from metacrit.special import DomainError
 
 
 class TestEcdf:
-    def test_heights_are_i_over_n(self):
+    def test_heights_are_i_over_n(self, tmp_path):
+        # the written ecdf column is i/N against the sorted values
         dump = ecdf(MethodSpec(Method.TIPPETT), 3, 0, 100, seed=1)
-        assert np.array_equal(dump.heights, np.arange(1, 101) / 100)
+        path = tmp_path / "ecdf.csv"
+        write_ecdf_csv(dump, path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], dump.values)
+        assert np.array_equal(rows[:, 1], np.arange(1, 101) / 100)
         assert np.all(np.diff(dump.values) >= 0)
 
-    def test_single_draw(self):
+    def test_single_draw(self, tmp_path):
         dump = ecdf(MethodSpec(Method.TIPPETT), 3, 0, 1, seed=2)
         assert dump.values.shape == (1,)
-        assert dump.heights[0] == 1.0
+        path = tmp_path / "ecdf.csv"
+        write_ecdf_csv(dump, path)
+        assert path.read_text().splitlines()[1].split(",")[1] == "1.0"
 
 
 class TestKsDistance:
@@ -34,8 +41,7 @@ class TestKsDistance:
         N = 500
         qs = (np.arange(1, N + 1) - 0.5) / N
         vals = np.array([exact_quantile(MethodSpec(Method.TIPPETT), 5, 3, q) for q in qs])
-        dump = EcdfDump(values=vals, heights=np.arange(1, N + 1) / N,
-                        spec=MethodSpec(Method.TIPPETT), n=5, n_f=3, N=N, seed=0)
+        dump = EcdfDump(values=vals, spec=MethodSpec(Method.TIPPETT), n=5, n_f=3, N=N, seed=0)
         assert ks_distance(dump) <= 1.0 / N
 
     def test_simulated_tippett_fits_beta(self):
@@ -45,8 +51,8 @@ class TestKsDistance:
     def test_degenerate_median_point(self):
         # single point at the null median (z = 0): ECDF jumps 0 -> 1 across
         # CDF = 0.5
-        dump = EcdfDump(values=np.array([0.0]), heights=np.array([1.0]),
-                        spec=MethodSpec(Method.STOUFFER), n=3, n_f=0, N=1, seed=0)
+        dump = EcdfDump(values=np.array([0.0]), spec=MethodSpec(Method.STOUFFER), n=3, n_f=0,
+                        N=1, seed=0)
         assert ks_distance(dump) == pytest.approx(0.5, abs=1e-12)
 
     def test_unsupported_law(self):
@@ -64,7 +70,7 @@ class TestCsvDump:
     def test_row_count_and_columns(self, tmp_path):
         dump = ecdf(MethodSpec(Method.CHEN), 10, 0, 250, seed=9)
         path = tmp_path / "ecdf.csv"
-        write_ecdf_csv(dump, path, include_exact=True)
+        write_ecdf_csv(dump, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,ecdf,exact_cdf"
         assert len(lines) == 251
@@ -77,3 +83,14 @@ class TestCsvDump:
         path = tmp_path / "plain.csv"
         write_ecdf_csv(dump, path)
         assert path.read_text().splitlines()[0] == "x,ecdf"
+
+    @pytest.mark.parametrize("method, n_f, header", [
+        (Method.TIPPETT, 2, "x,ecdf,exact_cdf"),
+        (Method.FISHER, 1, "x,ecdf"),
+    ], ids=["law-with-fakes", "law-only-without-fakes"])
+    def test_exact_column_exactly_when_a_law_exists(self, method, n_f, header, tmp_path):
+        path = tmp_path / "ecdf.csv"
+        write_ecdf_csv(ecdf(MethodSpec(method), 4, n_f, 20, seed=4), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == header
+        assert all(len(ln.split(",")) == header.count(",") + 1 for ln in lines)

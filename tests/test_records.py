@@ -7,13 +7,11 @@ and hashing by value, pickling (records cross to worker processes), and the
 checks each constructor makes.
 """
 
-import json
 import math
 import pickle
 
 import pytest
 
-from metacrit.cli import Decision
 from metacrit.diagnostics import EcdfDump
 from metacrit.estimation import QuantileEstimate
 from metacrit.methods import DEFAULT_TAILS, Method, MethodSpec, Tail
@@ -22,7 +20,6 @@ from metacrit.special import DomainError
 from metacrit.tables import CriticalValueTable, TableCell
 
 SPEC = MethodSpec(Method.FISHER)
-EST = QuantileEstimate(q=0.05, estimate=1.5, stderr=0.01, replicas=3)
 
 # one keyword construction per record, its fields in declaration order
 RECORDS = {
@@ -31,9 +28,7 @@ RECORDS = {
     QuantileEstimate: dict(q=0.05, estimate=1.5, stderr=None, replicas=0, provenance="exact"),
     TableCell: dict(method=Method.FISHER, n=3, n_f=1, q=0.95, estimate=14.0, stderr=0.1,
                     provenance="simulated"),
-    EcdfDump: dict(values=(0.5,), heights=(1.0,), spec=SPEC, n=3, n_f=0, N=1, seed=5),
-    Decision: dict(method="fisher", tail="upper", n=3, n_f=1, alpha=0.05, statistic=2.0,
-                   criticals=(EST,), reject=False, sim=(99, 3, 7)),
+    EcdfDump: dict(values=(0.5,), spec=SPEC, n=3, n_f=0, N=1, seed=5),
 }
 ids = [cls.__name__ for cls in RECORDS]
 
@@ -97,14 +92,6 @@ def test_sim_config_levels_become_a_tuple_of_floats():
 def test_table_cell_rejects_bad_fields(kw, match):
     with pytest.raises(DomainError, match=match):
         TableCell(**{**RECORDS[TableCell], **kw})
-
-
-def test_decision_json_keys_in_field_order():
-    rec = json.loads(Decision(**RECORDS[Decision]).to_json())
-    assert list(rec) == ["method", "tail", "n", "n_f", "alpha", "statistic", "criticals",
-                         "reject"]
-    assert rec["criticals"] == [{"q": 0.05, "value": 1.5, "source": "simulated",
-                                 "stderr": 0.01, "seed": 7, "N": 99, "R": 3}]
 
 
 def test_table_equality_covers_cells_and_metadata():

@@ -225,6 +225,7 @@ class TestSimConfig:
             dict(n=3, n_f=0, q_list=(0.9, 0.1)),
             dict(n=3, n_f=0, q_list=(0.0, 0.5)),
             dict(n=3, n_f=0, q_list=()),
+            dict(n=3, n_f=0, seed=-1),
         ],
     )
     def test_rejects_bad_configs(self, kw):

@@ -188,6 +188,13 @@ class TestDeterminism:
         with pytest.raises(DomainError, match="workers must be >= 1"):
             generate_table(MethodSpec(Method.TIPPETT), n_min=3, n_max=3, workers=workers)
 
+    @pytest.mark.parametrize("method", [Method.TIPPETT, Method.MUDHOLKAR_GEORGE],
+                             ids=lambda m: m.token)
+    def test_negative_seed_rejected(self, method):
+        # refused before any cell, on an all-exact grid as on a simulated one
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            generate_table(MethodSpec(method), n_min=3, n_max=3, seed=-1)
+
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
