@@ -25,6 +25,7 @@ from .special import (
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
+    reg_upper_gamma,
 )
 
 __all__ = [
@@ -66,13 +67,10 @@ def _cdf_root(cdf, n: int, n_f: int, q: float) -> float:
     return invert_cdf(lambda x: cdf(n, n_f, x), q, 0.0, 1.0)
 
 
-def _gm_quantile(n: int, n_f: int, q: float) -> float:
-    # -ln(prod P_k) is Gamma(n, 1) and the statistic exp(-G/n) falls as G
-    # grows, so this needs the Gamma's 1 - q quantile; below q = 2^-54,
-    # 1 - q rounds to 1 and the level is lost
-    if 1.0 - q == 1.0:
-        raise ArithmeticError(f"1 - q rounds to 1 at q={q:g}; the gm quantile is out of reach")
-    return math.exp(-gamma_quantile(n, 1.0 - q) / n)
+def _gm_cdf(n: int, n_f: int, x: float) -> float:
+    # -ln(prod P_k) is G ~ Gamma(n, 1) and the statistic exp(-G/n) is at most
+    # x when G >= -n ln x: an upper gamma tail, small in the statistic's lower tail
+    return reg_upper_gamma(n, -n * math.log(min(x, 1.0))) if x > 0.0 else 0.0
 
 
 def _genuine_only(n, n_f):
@@ -100,9 +98,9 @@ _LAWS = {
                   lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0)),
     Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
                       lambda n, n_f, x: normal_cdf(x)),
-    Method.GEOMETRIC_MEAN: (
-        _genuine_only, _gm_quantile,
-        lambda n, n_f, x: 1.0 - reg_lower_gamma(n, -n * math.log(min(max(x, 1e-300), 1.0)))),
+    Method.GEOMETRIC_MEAN: (_genuine_only,
+                            lambda n, n_f, q: _cdf_root(_gm_cdf, n, n_f, q),
+                            _gm_cdf),
     Method.EDGINGTON: (_genuine_only,
                        lambda n, n_f, q: _cdf_root(_irwin_hall_cdf, n, n_f, q),
                        _irwin_hall_cdf),

@@ -1,6 +1,6 @@
-"""Numerical special functions: normal CDF/quantile, regularized incomplete
-gamma and its quantile, and ``invert_cdf``, the one solver that finds a
-quantile without a closed form as the root of its CDF.
+"""Numerical special functions: normal CDF/quantile, regularized lower and
+upper incomplete gamma and the gamma quantile, and ``invert_cdf``, the one
+solver that finds a quantile without a closed form as the root of its CDF.
 
 Everything here is pure and reentrant, and each kernel is a function of
 one float.  ``_map`` is the one helper that maps a kernel over an array, so
@@ -9,7 +9,8 @@ arrays of probit scores, and ``exact.exact_cdf`` maps the exact laws; only
 a value that is not a Python int or float makes it import numpy.  The normal
 CDF and quantile come from the standard library (``math.erfc`` and
 ``statistics.NormalDist``, which is Wichura's AS 241 in C).  The incomplete
-gamma's timed caller is ``invert_cdf`` inside ``gamma_quantile``.
+gamma's timed callers are ``invert_cdf`` inside ``gamma_quantile`` and, for
+the geometric mean's law, inside ``exact``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "normal_cdf",
     "normal_inv_cdf",
     "reg_lower_gamma",
+    "reg_upper_gamma",
     "gamma_quantile",
     "invert_cdf",
 ]
@@ -97,16 +99,30 @@ def _upper_gamma_cf(a, x):
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) for a > 0 and finite x >= 0:
-    the series below x = a + 1, the continued fraction above, for stability."""
+def _series_side(a, x):
+    # whether P(a, x) is summed as a series (x < a + 1) rather than Q(a, x)
+    # found by the continued fraction, for a > 0 and finite x >= 0
     if not (0.0 < a < math.inf):
         raise DomainError("shape parameter must be positive")
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x < 0.0:
         raise DomainError("x must be nonnegative")
-    value = _lower_gamma_series(a, x) if x < a + 1.0 else 1.0 - _upper_gamma_cf(a, x)
+    return x < a + 1.0
+
+
+def reg_lower_gamma(a, x):
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and finite x >= 0:
+    the series below x = a + 1, the continued fraction above, for stability."""
+    value = _lower_gamma_series(a, x) if _series_side(a, x) else 1.0 - _upper_gamma_cf(a, x)
+    return min(max(value, 0.0), 1.0)
+
+
+def reg_upper_gamma(a, x):
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), split as
+    ``reg_lower_gamma`` is, so a small Q above x = a + 1 keeps its relative
+    accuracy instead of cancelling in 1 - P."""
+    value = 1.0 - _lower_gamma_series(a, x) if _series_side(a, x) else _upper_gamma_cf(a, x)
     return min(max(value, 0.0), 1.0)
 
 
@@ -159,10 +175,14 @@ def invert_cdf(cdf, q, lo, hi):
     """The x >= lo with cdf(x) = q, for a nondecreasing scalar ``cdf``.
 
     Returns ``lo`` when cdf(lo) >= q.  Otherwise ``hi`` doubles until
-    cdf(hi) >= q, and Illinois regula falsi (Dowell & Jarratt, BIT 11:168,
-    1971) shrinks [lo, hi], bisecting when a step rounds onto an end.  While
-    lo is 0 it steps in log space, so a root far below hi, even a subnormal
-    one, takes tens of evaluations, not one per binade.  It
+    cdf(hi) >= q, and [lo, hi] shrinks.  While lo is 0 it steps in log
+    space.  While hi > 4 lo or cdf(hi) > 4 cdf(lo), it takes the secant of
+    log cdf against log x, exact for a power law, or the geometric middle
+    where cdf(lo) underflows to 0.  So a root far below hi, even a subnormal
+    one, takes tens of evaluations, not one per binade.  A narrower bracket
+    shrinks by Illinois regula falsi (Dowell & Jarratt, BIT 11:168, 1971);
+    Illinois' halved weights serve the log secant too, and a step that
+    rounds onto an end bisects.  It
     stops when |cdf(x) - q| <= 1e-12 * min(q, 1 - q), so lower tails keep
     relative accuracy, or when the bracket is 1e-15 of ``hi`` wide.  It
     raises ``ConvergenceError`` when the quantile underflows: cdf already
@@ -170,48 +190,57 @@ def invert_cdf(cdf, q, lo, hi):
     adjacent subnormals, still wider than that.
     """
     tol = 1e-12 * min(q, 1.0 - q)
-    flo = cdf(lo) - q
-    if flo >= 0.0:
+    clo = cdf(lo)
+    if clo >= q:
         return lo
-    fhi = cdf(hi) - q
+    chi = cdf(hi)
     for _ in range(_MAX_INVERT_ITER):
-        if fhi >= 0.0:
+        if chi >= q:
             break
-        lo, flo, hi = hi, fhi, 2.0 * hi
-        fhi = cdf(hi) - q
+        lo, clo, hi = hi, chi, 2.0 * hi
+        chi = cdf(hi)
     else:
         raise ConvergenceError("could not bracket the quantile")
     # refused at once, before regula falsi halves [0, hi] one binade a step
     if lo == 0.0 and cdf(math.ulp(0.0)) >= q:
         raise ConvergenceError(f"the quantile at q={q:g} underflows below the smallest double")
+    # Illinois: an end kept twice in a row has its weight halved, so the
+    # other end cannot stall
+    wlo = whi = 1.0
     kept = 0  # the end kept by the last step: -1 lo, +1 hi
     for _ in range(_MAX_INVERT_ITER):
+        flo, fhi = wlo * (clo - q), whi * (chi - q)
         if lo == 0.0:
             # in log space: hi times the secant's ratio, which cannot cancel to 0,
             # or else the middle binade between the smallest double and hi
             x = hi * (flo / (flo - fhi))
             if not 0.0 < x < hi:
                 x = math.sqrt(math.ulp(0.0)) * math.sqrt(hi)
-        else:
+        elif hi <= 4.0 * lo and chi <= 4.0 * clo:
             x = hi - fhi * (hi - lo) / (fhi - flo)
+        elif clo > 0.0:
+            # across binades a step linear in x would climb them about one at a time
+            log_q, log_hi = math.log(q), math.log(hi)
+            glo, ghi = wlo * (math.log(clo) - log_q), whi * (math.log(chi) - log_q)
+            x = math.exp(log_hi - ghi * (log_hi - math.log(lo)) / (ghi - glo))
+        else:
+            x = math.sqrt(lo) * math.sqrt(hi)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             # two adjacent doubles the width test cannot stop on: subnormals
             if not lo < x < hi and hi - lo > 1e-15 * hi:
                 raise ConvergenceError(f"the quantile at q={q:g} underflows: no double lies "
                                        f"strictly between {lo:g} and {hi:g}")
-        fx = cdf(x) - q
-        if abs(fx) <= tol or hi - lo <= 1e-15 * hi:
+        cx = cdf(x)
+        if abs(cx - q) <= tol or hi - lo <= 1e-15 * hi:
             return x
-        # Illinois: an end kept twice in a row has its value halved, so the
-        # other end cannot stall
-        if fx > 0.0:
-            hi, fhi = x, fx
-            flo = 0.5 * flo if kept == -1 else flo
+        if cx > q:
+            hi, chi, whi = x, cx, 1.0
+            wlo = 0.5 * wlo if kept == -1 else wlo
             kept = -1
         else:
-            lo, flo = x, fx
-            fhi = 0.5 * fhi if kept == 1 else fhi
+            lo, clo, wlo = x, cx, 1.0
+            whi = 0.5 * whi if kept == 1 else whi
             kept = 1
     raise ConvergenceError("quantile inversion did not converge")
 

@@ -545,6 +545,39 @@ class TestEntryPoint:
         assert not added & {"dataclasses", "inspect", "numpy", "concurrent.futures"}
         assert "metacrit.diagnostics" not in added
 
+    @pytest.mark.parametrize("statement, loads", [
+        ("import metacrit", set()),
+        ("from metacrit import exact_quantile",
+         {"metacrit.exact", "metacrit.methods", "metacrit.special"}),
+    ], ids=["package", "exact_quantile"])
+    def test_a_name_loads_only_its_modules(self, statement, loads):
+        # the package namespace is lazy: a name imports the module that
+        # defines it, and that module's own imports, on first use
+        script = (f"import sys; before = set(sys.modules); {statement}; "
+                  "print(*sorted(set(sys.modules) - before), sep='\\n')")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert {m for m in added if m.startswith("metacrit.")} == loads
+
+    def test_lazy_namespace(self):
+        # a submodule still imports by name, an unknown name is an
+        # AttributeError, and dir() lists every public name before it loads
+        script = ("import metacrit\n"
+                  "names = set(dir(metacrit))\n"
+                  "from metacrit import cli\n"
+                  "assert cli.main is metacrit.cli.main\n"
+                  "try:\n"
+                  "    metacrit.no_such_name\n"
+                  "except AttributeError as exc:\n"
+                  "    assert 'no_such_name' in str(exc)\n"
+                  "else:\n"
+                  "    raise SystemExit('no AttributeError')\n"
+                  "missing = set(metacrit.__all__) - names\n"
+                  "assert not missing, missing\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_exact_and_table_paths_import_no_numpy(self, tmp_path):
         # numpy loads with the first simulation: an exact or --table decision,
         # from a cold start, never imports it

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy import special as sp
 
 from metacrit.exact import (
     _LAWS,
@@ -182,23 +183,35 @@ _ORACLES = {
     "chen-4": (Method.CHEN, 4, 0, lambda q: stats.chi2.ppf(q, 4)),
     "wilkinson-5-2": (Method.WILKINSON, 5, 2, _wilkinson_5_2),
     "edgington-5": (Method.EDGINGTON, 5, 0, lambda q: (120 * q) ** (1 / 5) / 5),
-    "gm-26": (Method.GEOMETRIC_MEAN, 26, 0, lambda q: math.exp(-stats.gamma.ppf(1 - q, 26) / 26)),
+    "gm-5": (Method.GEOMETRIC_MEAN, 5, 0, lambda q: math.exp(-stats.gamma.isf(q, 5) / 5)),
+    "gm-26": (Method.GEOMETRIC_MEAN, 26, 0, lambda q: math.exp(-stats.gamma.isf(q, 26) / 26)),
 }
 
 
 class TestTails:
     # lower tails keep relative accuracy down to q = 1e-50.  Edgington's
-    # oracle is its lower-tail closed form, and GM's lower tail needs 1 - q,
-    # so each is checked on one side only; at 1 - 1e-7 the oracles see the
-    # same rounded q
+    # oracle is its lower-tail closed form, so it is checked on one side
+    # only; at 1 - 1e-7 the oracles see the same rounded q
     @pytest.mark.parametrize("case, q", [
-        *[(case, q) for case in ("fisher-3", "chen-1", "chen-4", "wilkinson-5-2", "edgington-5")
+        *[(case, q) for case in ("fisher-3", "chen-1", "chen-4", "wilkinson-5-2", "edgington-5",
+                                 "gm-5", "gm-26")
           for q in (1e-7, 1e-10, 1e-50)],
         *[(case, 1 - 1e-7) for case in ("fisher-3", "chen-1", "chen-4", "wilkinson-5-2", "gm-26")],
     ])
     def test_against_oracle(self, case, q):
         method, n, n_f, oracle = _ORACLES[case]
         assert quantile(method, n, n_f, q) == pytest.approx(oracle(q), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 26])
+    def test_gm_cdf_lower_tail(self, n):
+        # the statistic exp(-G/n) is at most x with probability Q(n, -n ln x),
+        # which keeps its relative accuracy where 1 - P(n, -n ln x) is 0.0
+        for t in (0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 300.0, 600.0):
+            x = math.exp(-t / n)
+            want = sp.gammaincc(n, -n * math.log(x))
+            assert cdf(Method.GEOMETRIC_MEAN, n, 0, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert cdf(Method.GEOMETRIC_MEAN, 10, 0, 1e-3) == pytest.approx(1.132013361816164e-19,
+                                                                      rel=1e-9)
 
     @pytest.mark.parametrize("method, n, n_f", [
         (Method.TIPPETT, 5, 0), (Method.TIPPETT, 5, 2), (Method.WILKINSON, 5, 0),

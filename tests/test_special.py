@@ -24,6 +24,7 @@ from metacrit.special import (
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
+    reg_upper_gamma,
 )
 from metacrit.tables import default_grid
 
@@ -122,6 +123,16 @@ class TestIncompleteGamma:
         assert np.all(np.diff(p) >= 0)
         assert p[0] == 0.0
         assert p[-1] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 26.0, 123.0])
+    def test_upper_against_scipy(self, a):
+        # Q = 1 - P keeps its relative accuracy far above x = a + 1, where
+        # 1 - reg_lower_gamma cancels to 0
+        x = np.concatenate([np.linspace(0.0, 6 * a + 30, 301), np.geomspace(a + 1.0, 600.0, 200)])
+        want = sp.gammaincc(a, x)
+        got = _map(partial(reg_upper_gamma, a), x)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+        assert got[-1] > 0.0
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DomainError):
@@ -263,6 +274,20 @@ class TestRootFinder:
         assert invert_cdf(counted, q, 0.0, 1.0) == pytest.approx(root, rel=1e-11)
         assert len(calls) <= 100
 
+    @pytest.mark.parametrize("q", [1e-100, 1e-300])
+    def test_wide_positive_bracket_in_few_evaluations(self, q):
+        # x^26 underflows below x = 1.4e-13: the first step from lo = 0 lands
+        # where the CDF is 0, and steps linear in x then climbed about one
+        # binade each (54 evaluations at q = 1e-100, 78 at 1e-300)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return x**26
+
+        assert invert_cdf(counted, q, 0.0, 1.0) == pytest.approx(q ** (1 / 26), rel=1e-12)
+        assert len(calls) <= 25
+
     @pytest.mark.parametrize("q", [1e-160, 2.5e-162])
     def test_subnormal_root_refused_in_few_evaluations(self, q):
         # sqrt's root q^2 lies strictly between two adjacent subnormals
@@ -291,11 +316,12 @@ class TestRootFinder:
         assert invert_cdf(cdf, 0.3, 0.5, 1.0) == 0.5
         assert seen == [0.5]
 
-    @pytest.mark.parametrize("method", [Method.WILKINSON, Method.EDGINGTON],
-                             ids=lambda m: m.token)
+    @pytest.mark.parametrize("method", [Method.WILKINSON, Method.EDGINGTON,
+                                        Method.GEOMETRIC_MEAN], ids=lambda m: m.token)
     def test_cdf_evaluations_per_quantile(self, method, monkeypatch):
-        # the exact rows found as a root, Wilkinson with fakes and Edgington,
-        # on the default grid: bisection took 42-43 CDF evaluations each
+        # the exact rows found as a root, Wilkinson with fakes, Edgington and
+        # the geometric mean, on the default grid: bisection took 42-43 CDF
+        # evaluations each
         counts = []
 
         def counting(cdf, q, lo, hi):

@@ -56,6 +56,17 @@ def test_exports_name_attributes(module):
     assert not missing, f"metacrit.{module}.__all__ names missing {missing}"
 
 
+def test_lazy_names_resolve_to_their_modules():
+    # metacrit/__init__ loads each public name from the module its map
+    # names, so a rename there would leave a dangling name
+    lazy = metacrit._LAZY
+    assert metacrit.__all__ == list(lazy)
+    for name, module in lazy.items():
+        mod = importlib.import_module(f"metacrit.{module}")
+        assert name in mod.__all__, f"metacrit.{module}.__all__ does not list {name}"
+        assert getattr(metacrit, name) is getattr(mod, name)
+
+
 def identifiers(path):
     # names, attributes and imported names the file mentions, not its
     # strings or comments
