@@ -1,15 +1,16 @@
 """Closed-form and semi-analytic null quantiles/CDFs where they exist.
 
-Each exact law is one row of ``_LAWS``: where it applies, its quantile and
-its CDF.  With n_f fakes Tippett's minimum is Beta(1, n + n_f) and
-Wilkinson's maximum has CDF x^(n-n_f) (2x - x^2)^(n_f), for any n_f; with no
-fakes Fisher's statistic is chi-square(2n), Chen's chi-square(n), Stouffer's
+Each exact law is one row of ``_LAWS``: where it applies, its CDF and, for
+Tippett, Stouffer and Wilkinson without fakes, its closed-form quantile.
+With n_f fakes Tippett's minimum is Beta(1, n + n_f) and Wilkinson's
+maximum has CDF x^(n-n_f) (2x - x^2)^(n_f), for any n_f; with no fakes
+Fisher's statistic is chi-square(2n), Chen's chi-square(n), Stouffer's
 standard normal, the geometric mean a transformed Gamma(n, 1), and
 Edgington's mean follows the Irwin-Hall law, summed in exact integers for
 every n.  Every CDF is a function of one float, which ``exact_cdf`` maps
-over an array; a quantile without a closed form is its root, found by
-``special.invert_cdf``.  Other methods have no usable closed form and
-callers fall back to simulation.
+over an array; every other quantile is the CDF's root from [0, 1], found
+by ``special.invert_cdf`` in ``exact_quantile``.  Other methods have no
+usable closed form and callers fall back to simulation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .methods import Method, MethodSpec
 from .special import (
     DomainError,
     _map,
-    gamma_quantile,
     invert_cdf,
     normal_cdf,
     normal_inv_cdf,
@@ -63,10 +63,6 @@ def _irwin_hall_cdf(n: int, n_f: int, x: float) -> float:
     return total / (math.factorial(n) * b ** n)
 
 
-def _cdf_root(cdf, n: int, n_f: int, q: float) -> float:
-    return invert_cdf(lambda x: cdf(n, n_f, x), q, 0.0, 1.0)
-
-
 def _gm_cdf(n: int, n_f: int, x: float) -> float:
     # -ln(prod P_k) is G ~ Gamma(n, 1) and the statistic exp(-G/n) is at most
     # x when G >= -n ln x: an upper gamma tail, small in the statistic's lower tail
@@ -81,29 +77,23 @@ def _genuine_only(n, n_f):
 # Wilkinson with fakes); Fisher, Chen, Stouffer, the geometric mean and
 # Edgington only with n_f = 0.  A method missing here has no exact law.
 #
-# method -> (supports(n, n_f), quantile(n, n_f, q), cdf(n, n_f, x)),
-# where q is a checked float and the CDF receives x as a finite float
+# method -> (supports(n, n_f), cdf(n, n_f, x), quantile(n, n_f, q) or None),
+# where the CDF receives x as a finite float and q is a checked float; a
+# None quantile (Wilkinson's with fakes too) is found as the CDF's root
 _LAWS = {
     # 1 - (1 - q)^(1/(n + n_f)), by log1p and expm1 so no lower-tail q rounds away
     Method.TIPPETT: (lambda n, n_f: True,
-                     lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f)),
-                     lambda n, n_f, x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** (n + n_f)),
-    Method.WILKINSON: (lambda n, n_f: True,
-                       lambda n, n_f, q: (q ** (1.0 / n) if n_f == 0
-                                          else _cdf_root(_wilkinson_cdf, n, n_f, q)),
-                       _wilkinson_cdf),
-    Method.FISHER: (_genuine_only, lambda n, n_f, q: 2.0 * gamma_quantile(n, q),
-                    lambda n, n_f, x: reg_lower_gamma(n, max(x, 0.0) / 2.0)),
-    Method.CHEN: (_genuine_only, lambda n, n_f, q: 2.0 * gamma_quantile(n / 2.0, q),
-                  lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0)),
-    Method.STOUFFER: (_genuine_only, lambda n, n_f, q: normal_inv_cdf(q),
-                      lambda n, n_f, x: normal_cdf(x)),
-    Method.GEOMETRIC_MEAN: (_genuine_only,
-                            lambda n, n_f, q: _cdf_root(_gm_cdf, n, n_f, q),
-                            _gm_cdf),
-    Method.EDGINGTON: (_genuine_only,
-                       lambda n, n_f, q: _cdf_root(_irwin_hall_cdf, n, n_f, q),
-                       _irwin_hall_cdf),
+                     lambda n, n_f, x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** (n + n_f),
+                     lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f))),
+    Method.WILKINSON: (lambda n, n_f: True, _wilkinson_cdf,
+                       lambda n, n_f, q: q ** (1.0 / n) if n_f == 0 else None),
+    Method.FISHER: (_genuine_only, lambda n, n_f, x: reg_lower_gamma(n, max(x, 0.0) / 2.0), None),
+    Method.CHEN: (_genuine_only, lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0),
+                  None),
+    Method.STOUFFER: (_genuine_only, lambda n, n_f, x: normal_cdf(x),
+                      lambda n, n_f, q: normal_inv_cdf(q)),
+    Method.GEOMETRIC_MEAN: (_genuine_only, _gm_cdf, None),
+    Method.EDGINGTON: (_genuine_only, _irwin_hall_cdf, None),
 }
 
 
@@ -121,19 +111,21 @@ def _law(spec: MethodSpec, n: int, n_f: int) -> tuple:
 
 
 def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
-    """Exact quantile; raises UnsupportedExactError when the combination has
-    no closed form."""
-    _, quantile, _ = _law(spec, n, n_f)
+    """Exact quantile: the law's closed form where it has one, else the root
+    of its CDF from [0, 1].  Raises UnsupportedExactError when the
+    combination has no exact law."""
+    _, cdf, quantile = _law(spec, n, n_f)
     q = float(q)
     if not (0.0 < q < 1.0):
         raise DomainError("quantile level must lie strictly inside (0, 1)")
-    return quantile(n, n_f, q)
+    x = None if quantile is None else quantile(n, n_f, q)
+    return invert_cdf(lambda v: cdf(n, n_f, v), q, 0.0, 1.0) if x is None else x
 
 
 def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
     """Exact null CDF at x for supported combinations: a float for a scalar
     x, else an array of x's shape.  Raises DomainError for a non-finite x."""
-    _, _, cdf = _law(spec, n, n_f)
+    _, cdf, _ = _law(spec, n, n_f)
 
     def point(v):
         if not math.isfinite(v):

@@ -222,8 +222,8 @@ class TestTails:
     def test_extreme_level_is_answered_or_refused(self, method, n, n_f):
         # q = 1e-300 ends in a nonzero finite value (exit 0), negative only
         # for Stouffer's normal quantile, or in a numeric failure (exit 1)
-        # that names the level: Chen's n = 1 quantile, about 1.6e-600,
-        # underflows, and for gm 1 - q rounds to 1
+        # that names the level, which only Chen's n = 1 quantile, about
+        # 1.6e-600, takes as it underflows
         proc = subprocess.run(
             [sys.executable, "-m", "metacrit.cli", "critical", "--method", method.token,
              "--n", str(n), "--nf", str(n_f), "--q", "1e-300", "--exact"],

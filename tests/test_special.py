@@ -173,7 +173,7 @@ class TestIncompleteGamma:
 
 
 def chisq(df, q):
-    # the chi-square quantile as the exact Fisher and Chen laws compute it
+    # the chi-square quantile through the Gamma(df / 2, 1) quantile
     return 2 * gamma_quantile(df / 2, q)
 
 
@@ -316,12 +316,9 @@ class TestRootFinder:
         assert invert_cdf(cdf, 0.3, 0.5, 1.0) == 0.5
         assert seen == [0.5]
 
-    @pytest.mark.parametrize("method", [Method.WILKINSON, Method.EDGINGTON,
-                                        Method.GEOMETRIC_MEAN], ids=lambda m: m.token)
-    def test_cdf_evaluations_per_quantile(self, method, monkeypatch):
-        # the exact rows found as a root, Wilkinson with fakes, Edgington and
-        # the geometric mean, on the default grid: bisection took 42-43 CDF
-        # evaluations each
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        # the CDF evaluations of each exact_quantile's inversion, one count each
         counts = []
 
         def counting(cdf, q, lo, hi):
@@ -333,9 +330,44 @@ class TestRootFinder:
             return invert_cdf(counted, q, lo, hi)
 
         monkeypatch.setattr(exact, "invert_cdf", counting)
+        return counts
+
+    @pytest.mark.parametrize("method", [Method.WILKINSON, Method.EDGINGTON,
+                                        Method.GEOMETRIC_MEAN], ids=lambda m: m.token)
+    def test_cdf_evaluations_per_quantile(self, method, inversions):
+        # the exact rows found as a root, Wilkinson with fakes, Edgington and
+        # the geometric mean, on the default grid: bisection took 42-43 CDF
+        # evaluations each
         s = MethodSpec(method)
         for n, n_f in default_grid():
             if exact.has_exact_quantile(s, n, n_f):
                 for q in DEFAULT_Q_LEVELS:
                     exact.exact_quantile(s, n, n_f, q)
-        assert counts and max(counts) <= 30
+        assert inversions and max(inversions) <= 30
+
+    @pytest.mark.parametrize("method, bound", [(Method.FISHER, 40), (Method.CHEN, 38)],
+                             ids=lambda v: v.token if isinstance(v, Method) else str(v))
+    def test_chi_square_evaluations_per_quantile(self, method, bound, inversions):
+        # each chi-square quantile is found from [0, 1] with hi doubling, for
+        # n = 1..26 at the default levels and far into both tails
+        s = MethodSpec(method)
+        for n in range(1, 27):
+            for q in (*DEFAULT_Q_LEVELS, 1e-10, 1e-100, 1 - 1e-7, 1 - 1e-10):
+                exact.exact_quantile(s, n, 0, q)
+        assert len(inversions) == 26 * 14 and max(inversions) <= bound
+
+    @pytest.mark.parametrize("method", [Method.FISHER, Method.CHEN, Method.GEOMETRIC_MEAN,
+                                        Method.EDGINGTON, Method.WILKINSON],
+                             ids=lambda m: m.token)
+    def test_quantile_is_the_root_of_the_law_cdf(self, method):
+        # every exact quantile without a closed form is one inversion of its
+        # row's CDF from [0, 1], bit for bit; Wilkinson's only with fakes
+        s = MethodSpec(method)
+        _, law_cdf, _ = exact._LAWS[method]
+        cells = [(n, n_f) for n, n_f in default_grid()
+                 if exact.has_exact_quantile(s, n, n_f) and (method is not Method.WILKINSON or n_f)]
+        assert cells
+        for n, n_f in cells:
+            for q in DEFAULT_Q_LEVELS:
+                root = invert_cdf(lambda x: law_cdf(n, n_f, x), q, 0.0, 1.0)
+                assert exact.exact_quantile(s, n, n_f, q) == root, (n, n_f, q)
