@@ -62,13 +62,16 @@ def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list:
     """One replica's quantile estimates for each cell of ``cfgs`` (which share
     N, R and seed), one per level of its q_list.  Each cell's statistics are
     reduced to its order statistics before the next cell's are made."""
-    import numpy as np
     first = cfgs[0]
     if not (0 <= replica_index < first.R):
         raise DomainError("replica index outside 0..R-1")
     stream = replica_stream(first.seed, replica_index)
     draws = sample_cells(spec, [(cfg.n, cfg.n_f) for cfg in cfgs], first.N, stream)
-    return [np.sort(stats)[list(_ranks(first.N, cfg.q_list))] for cfg, stats in zip(cfgs, draws)]
+    estimates = []
+    for cfg, stats in zip(cfgs, draws):
+        stats.sort()  # in place: each yielded array is the cell's own
+        estimates.append(stats[list(_ranks(first.N, cfg.q_list))])
+    return estimates
 
 
 @functools.lru_cache(maxsize=256)

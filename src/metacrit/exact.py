@@ -16,6 +16,7 @@ usable closed form and callers fall back to simulation.
 from __future__ import annotations
 
 import math
+import sys
 
 from .methods import Method, MethodSpec
 from .special import (
@@ -63,6 +64,15 @@ def _irwin_hall_cdf(n: int, n_f: int, x: float) -> float:
     return total / (math.factorial(n) * b ** n)
 
 
+def _chisq_cdf(k: int, x: float) -> float:
+    # P(k/2, x/2).  Below twice the smallest normal double halving x rounds,
+    # to 0 at the smallest double, so there P is its series' leading term
+    # (x/2)^(k/2) / Gamma(k/2 + 1), taken from log x - log 2
+    if 0.0 < x < 2.0 * sys.float_info.min:
+        return math.exp(k / 2.0 * (math.log(x) - math.log(2.0)) - math.lgamma(k / 2.0 + 1.0))
+    return reg_lower_gamma(k / 2.0, max(x, 0.0) / 2.0)
+
+
 def _gm_cdf(n: int, n_f: int, x: float) -> float:
     # -ln(prod P_k) is G ~ Gamma(n, 1) and the statistic exp(-G/n) is at most
     # x when G >= -n ln x: an upper gamma tail, small in the statistic's lower tail
@@ -87,9 +97,8 @@ _LAWS = {
                      lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f))),
     Method.WILKINSON: (lambda n, n_f: True, _wilkinson_cdf,
                        lambda n, n_f, q: q ** (1.0 / n) if n_f == 0 else None),
-    Method.FISHER: (_genuine_only, lambda n, n_f, x: reg_lower_gamma(n, max(x, 0.0) / 2.0), None),
-    Method.CHEN: (_genuine_only, lambda n, n_f, x: reg_lower_gamma(n / 2.0, max(x, 0.0) / 2.0),
-                  None),
+    Method.FISHER: (_genuine_only, lambda n, n_f, x: _chisq_cdf(2 * n, x), None),
+    Method.CHEN: (_genuine_only, lambda n, n_f, x: _chisq_cdf(n, x), None),
     Method.STOUFFER: (_genuine_only, lambda n, n_f, x: normal_cdf(x),
                       lambda n, n_f, q: normal_inv_cdf(q)),
     Method.GEOMETRIC_MEAN: (_genuine_only, _gm_cdf, None),

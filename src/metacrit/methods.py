@@ -6,18 +6,22 @@ rejection tail: the direction in which small individual p-values push the
 statistic.
 
 Each statistic is written once (``_rows``): an elementwise score, None for
-the identity, and a row reduction, both against a namespace ``xp``.  On
-arrays ``xp`` is numpy (``_splits``, built on first use: importing this
-module loads no numpy), and a reduction folds a row's parts, (..., k) arrays
-whose columns in turn make it up: one ufunc call per column, left to right,
-into a single accumulator.  A row's value is thus the same however it is
-split into parts or blocks of rows, though for rows of eight or more values
-not always the same in the last bits as numpy's ``np.sum``.
+the identity, the binary op that folds a row's scores left to right, and the
+finish of the folded total given the row's length n, all against a
+namespace ``xp``.  On arrays ``xp`` is numpy (``_splits``, built on first
+use: importing this module loads no numpy), and ``fold`` makes one ufunc
+call per column of a row's parts, (..., k) arrays whose columns in turn make
+it up, into one new accumulator.  A row's value is thus the same however it
+is split into parts or blocks of rows, or when its first columns come folded
+already, though for rows of eight or more values not always the same in the
+last bits as numpy's ``np.sum``.  min-gm scores p as the complex
+log p + i log(1 - p), so one fold sums both logs.
 
-``evaluate_statistic`` reads the same rows with ``math`` for ``xp``, each
-Python float a one-value part, and imports no numpy: it gives the bits of
-``evaluate_batch``, or for Fisher, gm, min-gm and mg, whose numpy logs and
-exp may differ from libm's in the last bit, agrees to 1e-13 relative.
+``evaluate_statistic`` reads the same rows with ``math`` for ``xp``, folding
+one vector's Python floats with ``functools.reduce``, and imports no numpy:
+it gives the bits of ``evaluate_batch``, or for Fisher, gm, min-gm and mg,
+whose numpy logs and exp may differ from libm's in the last bit, agrees to
+1e-13 relative.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "evaluate_statistic",
     "evaluate_batch",
     "score",
+    "fold",
     "reduce",
     "SCORE_STATISTICS",
 ]
@@ -115,35 +120,33 @@ class MethodSpec(collections.namedtuple("MethodSpec", "method tail")):
                 or (self.tail is not Tail.LOWER and statistic >= criticals[-1]))
 
 
-# ``xp`` for one vector of Python floats: each value a one-value part, folded
-# left to right as the arrays' columns are (the builtin sum compensates from 3.12)
-_FLOATS = types.SimpleNamespace(
-    log=math.log, log1p=math.log1p, exp=math.exp, minimum=min, maximum=max,
-    fold=lambda parts, op=operator.add: functools.reduce(op, parts))
+# ``xp`` for Python floats; ``logs(a, b)`` is the complex log a + i log b
+_FLOATS = types.SimpleNamespace(log=math.log, log1p=math.log1p, exp=math.exp, add=operator.add,
+                                minimum=min, maximum=max,
+                                logs=lambda a, b: complex(math.log(a), math.log(b)))
 
 
 def _rows(xp) -> dict:
     # method -> (score of the drawn values: p, or z = Phi^-1(p) for Stouffer
-    # and Chen, with None for the identity; reduction of the rows ``parts``
-    # make up), written once against ``xp``: numpy (``_splits``) or ``_FLOATS``
-    def gm(logs, n):
-        # the geometric mean from the parts' logs: no underflow for any practical n
-        return xp.exp(xp.fold(logs) / n)
+    # and Chen, with None for the identity; the binary op that folds a row's
+    # scores; the finish of the total of n values), written once against
+    # ``xp``: numpy (``_splits``) or ``_FLOATS``
+    def gm(total, n):
+        # the geometric mean from the sum of logs: no underflow for any practical n
+        return xp.exp(total / n)
 
     return {
-        Method.TIPPETT: (None, lambda parts, n: xp.fold(parts, xp.minimum)),
-        Method.FISHER: (xp.log, lambda parts, n: -2.0 * xp.fold(parts)),
-        Method.GEOMETRIC_MEAN: (xp.log, gm),
-        Method.MIN_GEOMETRIC_MEANS: (None, lambda parts, n:
-                                     xp.minimum(gm([xp.log(p) for p in parts], n),
-                                                gm([xp.log(1.0 - p) for p in parts], n))),
-        Method.STOUFFER: (None, lambda parts, n: xp.fold(parts) / math.sqrt(n)),
-        Method.WILKINSON: (None, lambda parts, n: xp.fold(parts, xp.maximum)),
-        Method.EDGINGTON: (None, lambda parts, n: xp.fold(parts) / n),
-        Method.MUDHOLKAR_GEORGE: (lambda p: xp.log1p(-p) - xp.log(p),
-                                  lambda parts, n: xp.fold(parts)),
-        Method.WILSON_HARMONIC: (lambda p: 1.0 / p, lambda parts, n: n / xp.fold(parts)),
-        Method.CHEN: (lambda z: z * z, lambda parts, n: xp.fold(parts)),
+        Method.TIPPETT: (None, xp.minimum, lambda acc, n: acc),
+        Method.FISHER: (xp.log, xp.add, lambda acc, n: -2.0 * acc),
+        Method.GEOMETRIC_MEAN: (xp.log, xp.add, gm),
+        Method.MIN_GEOMETRIC_MEANS: (lambda p: xp.logs(p, 1.0 - p), xp.add,
+                                     lambda acc, n: xp.minimum(gm(acc.real, n), gm(acc.imag, n))),
+        Method.STOUFFER: (None, xp.add, lambda acc, n: acc / math.sqrt(n)),
+        Method.WILKINSON: (None, xp.maximum, lambda acc, n: acc),
+        Method.EDGINGTON: (None, xp.add, lambda acc, n: acc / n),
+        Method.MUDHOLKAR_GEORGE: (lambda p: xp.log1p(-p) - xp.log(p), xp.add, lambda acc, n: acc),
+        Method.WILSON_HARMONIC: (lambda p: 1.0 / p, xp.add, lambda acc, n: n / acc),
+        Method.CHEN: (lambda z: z * z, xp.add, lambda acc, n: acc),
     }
 
 
@@ -152,20 +155,18 @@ _FLOAT_ROWS = _rows(_FLOATS)
 
 @functools.cache
 def _splits() -> dict:
-    # the rows on arrays: a part is a (..., k) array, and the fold writes the
-    # columns left to right, op(op(c0, c1), c2)..., into one accumulator of
-    # the row shape in place, with no joined matrix
+    # the rows on arrays
     import numpy as np
 
-    def fold(parts, op=np.add):
-        columns = (part[..., j] for part in parts for j in range(part.shape[-1]))
-        acc = np.array(next(columns))  # a copy: the fold writes into it
-        for column in columns:
-            op(acc, column, out=acc)
-        return acc
+    def logs(a, b):
+        # each log written straight into its channel: no complex temporaries
+        out = np.empty(a.shape, complex)
+        np.log(a, out=out.real)
+        np.log(b, out=out.imag)
+        return out
 
-    return _rows(types.SimpleNamespace(log=np.log, log1p=np.log1p, exp=np.exp, minimum=np.minimum,
-                                       maximum=np.maximum, fold=fold))
+    return _rows(types.SimpleNamespace(log=np.log, log1p=np.log1p, exp=np.exp, add=np.add,
+                                       minimum=np.minimum, maximum=np.maximum, logs=logs))
 
 
 def score(spec: MethodSpec, x):
@@ -175,10 +176,27 @@ def score(spec: MethodSpec, x):
     return x if f is None else f(x)
 
 
-def reduce(spec: MethodSpec, parts):
-    """The statistic of each row of scored values, given as ``parts``: a
-    tuple of (..., k) arrays whose columns, in turn, make up each row."""
-    return _splits()[spec.method][1](parts, sum(part.shape[-1] for part in parts))
+def fold(spec: MethodSpec, parts):
+    """The statistic's fold of each row of scored values, given as ``parts``:
+    a tuple of (..., k) arrays whose columns, in turn, make up each row.  It
+    writes op(op(c0, c1), c2)... left to right into one new array of the row
+    shape, with no joined matrix (a lone column is copied), so a fold of the
+    first columns may stand as a one-column part of a longer row."""
+    op = _splits()[spec.method][1]
+    columns = [part[..., j] for part in parts for j in range(part.shape[-1])]
+    if len(columns) == 1:
+        return columns[0].copy()
+    acc = op(columns[0], columns[1])
+    for column in columns[2:]:
+        op(acc, column, out=acc)
+    return acc
+
+
+def reduce(spec: MethodSpec, parts, n: int):
+    """The statistic of each row of n scored values, given as ``parts`` (see
+    ``fold``): a new array."""
+    _, _, finish = _splits()[spec.method]
+    return finish(fold(spec, parts), n)
 
 
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws
@@ -195,7 +213,7 @@ def evaluate_batch(spec: MethodSpec, pmatrix):
         raise DomainError("p-value vectors must be non-empty")
     if spec.method in SCORE_STATISTICS:
         pmatrix = normal_inv_cdf(pmatrix)
-    return reduce(spec, (score(spec, pmatrix),))
+    return reduce(spec, (score(spec, pmatrix),), pmatrix.shape[-1])
 
 
 def evaluate_statistic(spec: MethodSpec, p) -> float:
@@ -212,5 +230,5 @@ def evaluate_statistic(spec: MethodSpec, p) -> float:
         raise DomainError("every p-value must lie strictly inside (0, 1)")
     if spec.method in SCORE_STATISTICS:
         values = list(map(_probit(), values))
-    f, reduction = _FLOAT_ROWS[spec.method]
-    return reduction(values if f is None else list(map(f, values)), len(values))
+    f, op, finish = _FLOAT_ROWS[spec.method]
+    return finish(functools.reduce(op, values if f is None else map(f, values)), len(values))

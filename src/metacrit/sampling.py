@@ -16,23 +16,25 @@ it: the replica is the unit of parallel work.  Cell (n, n_f) reads the first
 N(n + n_f) values, so a table draws each replica's stream once at any worker
 count and each cell reads its own prefix: what a stream of its own gives.
 
-Every statistic is an elementwise score followed by a row reduction (see
-``methods``).  A table therefore scores its prefix once as well: the fake
-pairs' minima, then every value that some cell reads as genuine, a block at
-a time, each block's scores written back over it; an identity score (Tippett,
-min-gm, Stouffer, Wilkinson, Edgington) leaves the prefix as drawn.
-Each cell reduces all N rows at once from two views of the scored values,
-its fakes' minima and its genuine values, with no joined matrix.  A score
-depends on nothing but its element, and a reduction folds a row's columns
-left to right whatever views hold them, so each statistic is bit for bit the
-one a cell of its own computes.
+Every statistic is an elementwise score, a left-to-right fold of a row's
+scores and a finish (see ``methods``).  A table therefore scores its prefix
+once as well: the fake pairs' minima, then every value that some cell reads
+as genuine, a block at a time, each block's scores written back over it
+(min-gm's complex ones into one new buffer); an identity score (Tippett,
+Stouffer, Wilkinson, Edgington) leaves the prefix as drawn.  Every cell with
+n_f fakes reads the same first N·n_f pair minima, first in each row, so each
+fake count's columns are folded once, into a head, and each cell continues
+from its head over the view of its genuine values, with no joined matrix.
+A score depends on nothing but its element, and the fold takes a row's
+columns left to right whatever views hold them, so each statistic is bit
+for bit the one a cell of its own computes.
 """
 
 from __future__ import annotations
 
 import collections
 
-from .methods import SCORE_STATISTICS, MethodSpec, reduce, score
+from .methods import SCORE_STATISTICS, MethodSpec, fold, reduce, score
 from .special import DomainError
 
 __all__ = [
@@ -48,7 +50,7 @@ DEFAULT_SEED = 20240101
 DEFAULT_Q_LEVELS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995)
 DEFAULT_N_SAMPLES = 4999
 DEFAULT_N_REPLICAS = 50
-_BLOCK = 16384  # values scored at a time: a score makes up to three such temporaries
+_BLOCK = 16384  # values scored at a time: a score's temporaries hold up to three floats a value
 
 
 class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
@@ -145,23 +147,41 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream):
     return np.concatenate(_parts(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N), axis=1)
 
 
+def _scored(spec: MethodSpec, values, start: int):
+    """The array holding the scores of ``values[start:]``, made a block at a
+    time: ``values`` itself, scored in place or by the identity, or one new
+    buffer of its shape where the score changes the dtype."""
+    import numpy as np
+    out = values
+    for a in range(start, values.size, _BLOCK):
+        block = values[a:a + _BLOCK]
+        scored = score(spec, block)
+        if scored.dtype != out.dtype:
+            out = np.empty(values.shape, scored.dtype)
+        if scored is not block:
+            out[a:a + _BLOCK] = scored
+    return out
+
+
 def sample_cells(spec: MethodSpec, cells, N: int, stream):
     """Yield N values of the statistic for each (n, n_f) of ``cells`` in turn,
     all read from one draw of the stream, scored once.  Stouffer and Chen get
     their normal scores drawn directly in the ``sample_pmatrix`` layout: no
-    probit runs.  An empty list of cells draws and yields nothing."""
+    probit runs.  Each yielded array is new: it shares no memory with the
+    prefix or with another.  An empty list of cells draws and yields nothing."""
     if not cells:
         return
-    prefix = base, minima = _prefix(cells, N, stream, scores=spec.method in SCORE_STATISTICS)
-    # score each value some cell reads once, over itself: the pair minima, and
-    # the prefix from 2N·min n_f on (no cell reads a genuine value before that);
-    # for one cell that is exactly its N·n values.  In blocks, because
-    # temporaries as large as the prefix would raise peak memory.
-    for values in (minima, base[2 * N * min(n_f for _, n_f in cells):]):
-        for a in range(0, values.size, _BLOCK):
-            block = values[a:a + _BLOCK]
-            scored = score(spec, block)
-            if scored is not block:  # an identity score leaves the prefix as drawn
-                block[...] = scored
+    base, minima = _prefix(cells, N, stream, scores=spec.method in SCORE_STATISTICS)
+    # score each value some cell reads once: the pair minima, and the prefix
+    # from 2N·min n_f on (no cell reads a genuine value before that); for one
+    # cell that is exactly its N·n values.  In blocks, because temporaries as
+    # large as the prefix would raise peak memory.
+    prefix = (_scored(spec, base, 2 * N * min(n_f for _, n_f in cells)), _scored(spec, minima, 0))
+    # each fake count's columns are folded once, into a head: every cell with
+    # n_f fakes continues the fold from it over its genuine columns
+    heads = {}
     for n, n_f in cells:
-        yield reduce(spec, _parts(prefix, n, n_f, N))
+        fakes, genuine = _parts(prefix, n, n_f, N)
+        if n_f and n_f not in heads:
+            heads[n_f] = fold(spec, (fakes,))
+        yield reduce(spec, (heads[n_f][:, None], genuine) if n_f else (genuine,), n)

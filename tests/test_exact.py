@@ -11,6 +11,7 @@ import pytest
 from scipy import optimize, stats
 from scipy import special as sp
 
+from metacrit import exact
 from metacrit.exact import (
     _LAWS,
     UnsupportedExactError,
@@ -22,7 +23,7 @@ from metacrit.exact import (
 )
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import DEFAULT_Q_LEVELS, replica_stream, sample_pmatrix
-from metacrit.special import DomainError
+from metacrit.special import ConvergenceError, DomainError, invert_cdf
 
 
 def spec(method):
@@ -213,26 +214,44 @@ class TestTails:
         assert cdf(Method.GEOMETRIC_MEAN, 10, 0, 1e-3) == pytest.approx(1.132013361816164e-19,
                                                                       rel=1e-9)
 
-    @pytest.mark.parametrize("method, n, n_f", [
-        (Method.TIPPETT, 5, 0), (Method.TIPPETT, 5, 2), (Method.WILKINSON, 5, 0),
-        (Method.WILKINSON, 5, 2), (Method.FISHER, 5, 0), (Method.CHEN, 5, 0),
-        (Method.CHEN, 1, 0), (Method.STOUFFER, 5, 0), (Method.GEOMETRIC_MEAN, 5, 0),
-        (Method.EDGINGTON, 5, 0),
-    ], ids=lambda v: v.token if isinstance(v, Method) else str(v))
-    def test_extreme_level_is_answered_or_refused(self, method, n, n_f):
+    # (method, n, n_f, refusal): refusal is None for an answer, else the CDF
+    # evaluations and the message of the refusal
+    EXTREME = [
+        (Method.TIPPETT, 5, 0, None), (Method.TIPPETT, 5, 2, None), (Method.WILKINSON, 5, 0, None),
+        (Method.WILKINSON, 5, 2, None), (Method.FISHER, 5, 0, None), (Method.CHEN, 5, 0, None),
+        (Method.CHEN, 1, 0, (3, "underflows below the smallest double")),
+        (Method.STOUFFER, 5, 0, None), (Method.GEOMETRIC_MEAN, 5, 0, None),
+        (Method.EDGINGTON, 5, 0, None),
+    ]
+
+    @pytest.mark.parametrize("method, n, n_f, refusal", EXTREME,
+                             ids=[f"{m.token}-{n}-{n_f}" for m, n, n_f, _ in EXTREME])
+    def test_extreme_level_is_answered_or_refused(self, method, n, n_f, refusal, monkeypatch):
         # q = 1e-300 ends in a nonzero finite value (exit 0), negative only
         # for Stouffer's normal quantile, or in a numeric failure (exit 1)
         # that names the level, which only Chen's n = 1 quantile, about
-        # 1.6e-600, takes as it underflows
+        # 1.6e-600, takes as it underflows.  Its CDF is positive at the
+        # smallest double, so it is refused at once: cdf(lo), cdf(hi), then
+        # the CDF at the smallest double
         proc = subprocess.run(
             [sys.executable, "-m", "metacrit.cli", "critical", "--method", method.token,
              "--n", str(n), "--nf", str(n_f), "--q", "1e-300", "--exact"],
             capture_output=True, text=True)
         assert "Traceback" not in proc.stderr
-        if proc.returncode == 1:
-            assert "q=1e-300" in proc.stderr
+        assert proc.returncode == (0 if refusal is None else 1), proc.stderr
+        if refusal is not None:
+            evaluations, message = refusal
+            assert "q=1e-300" in proc.stderr and message in proc.stderr
+            calls = []
+
+            def counting(cdf, q, lo, hi):
+                return invert_cdf(lambda x: calls.append(x) or cdf(x), q, lo, hi)
+
+            monkeypatch.setattr(exact, "invert_cdf", counting)
+            with pytest.raises(ConvergenceError, match=message):
+                quantile(method, n, n_f, 1e-300)
+            assert len(calls) == evaluations
         else:
-            assert proc.returncode == 0, proc.stderr
             value = float(proc.stdout.split()[0])
             assert math.isfinite(value) and value != 0.0
             assert (value < 0.0) == (method is Method.STOUFFER)

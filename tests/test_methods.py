@@ -182,10 +182,10 @@ class TestProperties:
         for n in (2, 9, 26):
             P = np.random.default_rng(41 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
             A = score(s, normal_inv_cdf(P) if s.method in SCORE_STATISTICS else P)
-            whole = reduce(s, (A,))
+            whole = reduce(s, (A,), n)
             for k in range(n + 1):
-                assert np.array_equal(reduce(s, (A[:, :k], A[:, k:])), whole), (n, k)
-            blocks = np.concatenate([reduce(s, (A[a:a + 50],)) for a in range(0, len(A), 50)])
+                assert np.array_equal(reduce(s, (A[:, :k], A[:, k:]), n), whole), (n, k)
+            blocks = np.concatenate([reduce(s, (A[a:a + 50],), n) for a in range(0, len(A), 50)])
             assert np.array_equal(blocks, whole)
 
     @pytest.mark.parametrize("method", [Method.STOUFFER, Method.CHEN])
@@ -194,7 +194,7 @@ class TestProperties:
         pm = np.random.default_rng(31).uniform(1e-9, 1 - 1e-9, size=(200, 6))
         s = spec(method)
         assert np.array_equal(evaluate_batch(s, pm),
-                              reduce(s, (score(s, normal_inv_cdf(pm)),)))
+                              reduce(s, (score(s, normal_inv_cdf(pm)),), 6))
 
 
 class TestScalarStatistic:

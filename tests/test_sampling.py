@@ -144,7 +144,7 @@ class TestStreams:
         if method in SCORE_STATISTICS:
             fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
             z = np.concatenate([fakes, twin.standard_normal((N, n - n_f))], axis=1)
-            whole = reduce(spec, (score(spec, z),))
+            whole = reduce(spec, (score(spec, z),), n)
         else:
             whole = evaluate_batch(spec, sample_pmatrix(n, n_f, N, twin))
         assert np.array_equal(drawn, whole)
@@ -192,6 +192,46 @@ class TestStreams:
         else:
             with pytest.raises(ValueError, match="read-only"):
                 list(sample_cells(spec, cells, N, replica_stream(17, 3)))
+
+    # cells that repeat a fake count, n = n_f and n = 1 cells, and n_f = 0 cells
+    SHARED = [(1, 0), (1, 1), (3, 0), (5, 2), (7, 2), (8, 3), (12, 4), (26, 8)]
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_cells_sharing_fakes_equal_cells_alone(self, method):
+        # cells with the same n_f continue one fold of their fakes, the head;
+        # each is sorted in place as it comes, as run_replica does, so a cell
+        # that wrote into a head, or was one, would change a later cell's bits
+        spec, N = MethodSpec(method), 999
+        got = []
+        for stats in sample_cells(spec, self.SHARED, N, replica_stream(17, 3)):
+            got.append((stats.dtype, stats.shape, stats.tobytes()))
+            stats.sort()
+        for cell, bits in zip(self.SHARED, got, strict=True):
+            alone = next(sample_cells(spec, [cell], N, replica_stream(17, 3)))
+            assert (alone.dtype, alone.shape, alone.tobytes()) == bits, cell
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_yielded_arrays_share_no_memory(self, method, monkeypatch):
+        # the precondition of run_replica's in-place sort: no yielded array
+        # shares memory with another, with the drawn prefix or its pair
+        # minima, or with the scores made of them, n = 1 cells (a one-column
+        # fold) included
+        held = []
+
+        def keep(f):
+            def kept(*args, **kwargs):
+                out = f(*args, **kwargs)
+                held.extend(out if isinstance(out, tuple) else (out,))
+                return out
+            return kept
+
+        monkeypatch.setattr(sampling, "_prefix", keep(sampling._prefix))
+        monkeypatch.setattr(sampling, "_scored", keep(sampling._scored))
+        yielded = list(sample_cells(MethodSpec(method), self.SHARED, 999, replica_stream(17, 3)))
+        assert len(yielded) == len(self.SHARED) and len(held) == 4
+        for i, stats in enumerate(yielded):
+            for other in held + yielded[:i]:
+                assert not np.shares_memory(stats, other), self.SHARED[i]
 
     def test_no_cells_draw_nothing(self):
         stream = replica_stream(17, 3)
