@@ -120,10 +120,10 @@ class MethodSpec(collections.namedtuple("MethodSpec", "method tail")):
                 or (self.tail is not Tail.LOWER and statistic >= criticals[-1]))
 
 
-# ``xp`` for Python floats; ``logs(a, b)`` is the complex log a + i log b
+# ``xp`` for Python floats; ``logs(p)`` is the complex log p + i log(1 - p)
 _FLOATS = types.SimpleNamespace(log=math.log, log1p=math.log1p, exp=math.exp, add=operator.add,
                                 minimum=min, maximum=max,
-                                logs=lambda a, b: complex(math.log(a), math.log(b)))
+                                logs=lambda p: complex(math.log(p), math.log(1.0 - p)))
 
 
 def _rows(xp) -> dict:
@@ -139,7 +139,7 @@ def _rows(xp) -> dict:
         Method.TIPPETT: (None, xp.minimum, lambda acc, n: acc),
         Method.FISHER: (xp.log, xp.add, lambda acc, n: -2.0 * acc),
         Method.GEOMETRIC_MEAN: (xp.log, xp.add, gm),
-        Method.MIN_GEOMETRIC_MEANS: (lambda p: xp.logs(p, 1.0 - p), xp.add,
+        Method.MIN_GEOMETRIC_MEANS: (xp.logs, xp.add,
                                      lambda acc, n: xp.minimum(gm(acc.real, n), gm(acc.imag, n))),
         Method.STOUFFER: (None, xp.add, lambda acc, n: acc / math.sqrt(n)),
         Method.WILKINSON: (None, xp.maximum, lambda acc, n: acc),
@@ -158,22 +158,31 @@ def _splits() -> dict:
     # the rows on arrays
     import numpy as np
 
-    def logs(a, b):
+    def logs(p, out=None):
         # each log written straight into its channel: no complex temporaries
-        out = np.empty(a.shape, complex)
-        np.log(a, out=out.real)
-        np.log(b, out=out.imag)
+        out = np.empty(p.shape, complex) if out is None else out
+        np.log(p, out=out.real)
+        np.log(1.0 - p, out=out.imag)
         return out
 
     return _rows(types.SimpleNamespace(log=np.log, log1p=np.log1p, exp=np.exp, add=np.add,
                                        minimum=np.minimum, maximum=np.maximum, logs=logs))
 
 
-def score(spec: MethodSpec, x):
+def score(spec: MethodSpec, x, out=None):
     """The statistic's elementwise score of the drawn values ``x``, an array:
-    a new array, or ``x`` itself where the score is the identity."""
+    ``x`` itself where the score is the identity, else ``out`` with the scores
+    written into it where given (``x`` itself may be, unless the score changes
+    the dtype as min-gm's complex one does), or else a new array."""
     f = _splits()[spec.method][0]
-    return x if f is None else f(x)
+    if f is None:
+        return x
+    if out is None:
+        return f(x)
+    if spec.method is Method.MIN_GEOMETRIC_MEANS:
+        return f(x, out)  # both logs straight into out's channels
+    out[...] = f(x)
+    return out
 
 
 def fold(spec: MethodSpec, parts):
@@ -186,7 +195,7 @@ def fold(spec: MethodSpec, parts):
     columns = [part[..., j] for part in parts for j in range(part.shape[-1])]
     if len(columns) == 1:
         return columns[0].copy()
-    acc = op(columns[0], columns[1])
+    acc = op(columns[0], columns[1])[...]  # [...]: a 0-d total stays an array, not a scalar
     for column in columns[2:]:
         op(acc, column, out=acc)
     return acc

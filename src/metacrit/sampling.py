@@ -20,7 +20,8 @@ Every statistic is an elementwise score, a left-to-right fold of a row's
 scores and a finish (see ``methods``).  A table therefore scores its prefix
 once as well: the fake pairs' minima, then every value that some cell reads
 as genuine, a block at a time, each block's scores written back over it
-(min-gm's complex ones into one new buffer); an identity score (Tippett,
+(min-gm's two logs straight into the channels of one new complex buffer for
+the values read); an identity score (Tippett,
 Stouffer, Wilkinson, Edgington) leaves the prefix as drawn.  Every cell with
 n_f fakes reads the same first N·n_f pair minima, first in each row, so each
 fake count's columns are folded once, into a head, and each cell continues
@@ -126,14 +127,14 @@ def _prefix(cells, N: int, stream, scores: bool):
     return base, np.minimum(pairs[0::2], pairs[1::2])
 
 
-def _parts(prefix, n: int, n_f: int, N: int) -> tuple:
+def _parts(prefix, n: int, n_f: int, N: int, start: int = 0) -> tuple:
     """Cell (n, n_f)'s (N, n) matrix from a ``_prefix`` as two views, its
     columns in turn: the n_f fakes (the minima of the prefix's first N·n_f
     pairs), then the genuine (N, n - n_f) values that follow those pairs in
-    the stream."""
+    the stream.  The prefix's values may begin at stream position ``start``."""
     base, minima = prefix
     return (minima[:N * n_f].reshape(N, n_f),
-            base[2 * N * n_f:N * (n + n_f)].reshape(N, n - n_f))
+            base[2 * N * n_f - start:N * (n + n_f) - start].reshape(N, n - n_f))
 
 
 def sample_pmatrix(n: int, n_f: int, N: int, stream):
@@ -147,19 +148,15 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream):
     return np.concatenate(_parts(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N), axis=1)
 
 
-def _scored(spec: MethodSpec, values, start: int):
-    """The array holding the scores of ``values[start:]``, made a block at a
-    time: ``values`` itself, scored in place or by the identity, or one new
-    buffer of its shape where the score changes the dtype."""
+def _scored(spec: MethodSpec, values):
+    """The scores of ``values``, written a block at a time over ``values``
+    itself, or into one new buffer where the score changes the dtype (min-gm's
+    are complex); an identity score leaves ``values`` as drawn."""
     import numpy as np
-    out = values
-    for a in range(start, values.size, _BLOCK):
-        block = values[a:a + _BLOCK]
-        scored = score(spec, block)
-        if scored.dtype != out.dtype:
-            out = np.empty(values.shape, scored.dtype)
-        if scored is not block:
-            out[a:a + _BLOCK] = scored
+    dtype = score(spec, values[:0]).dtype
+    out = values if dtype == values.dtype else np.empty(values.shape, dtype)
+    for a in range(0, values.size, _BLOCK):
+        score(spec, values[a:a + _BLOCK], out[a:a + _BLOCK])
     return out
 
 
@@ -176,12 +173,13 @@ def sample_cells(spec: MethodSpec, cells, N: int, stream):
     # from 2N·min n_f on (no cell reads a genuine value before that); for one
     # cell that is exactly its N·n values.  In blocks, because temporaries as
     # large as the prefix would raise peak memory.
-    prefix = (_scored(spec, base, 2 * N * min(n_f for _, n_f in cells)), _scored(spec, minima, 0))
+    start = 2 * N * min(n_f for _, n_f in cells)
+    prefix = (_scored(spec, base[start:]), _scored(spec, minima))
     # each fake count's columns are folded once, into a head: every cell with
     # n_f fakes continues the fold from it over its genuine columns
     heads = {}
     for n, n_f in cells:
-        fakes, genuine = _parts(prefix, n, n_f, N)
+        fakes, genuine = _parts(prefix, n, n_f, N, start)
         if n_f and n_f not in heads:
             heads[n_f] = fold(spec, (fakes,))
         yield reduce(spec, (heads[n_f][:, None], genuine) if n_f else (genuine,), n)

@@ -203,11 +203,15 @@ class TestScalarStatistic:
     SAME_BITS = {Method.TIPPETT, Method.WILKINSON, Method.EDGINGTON, Method.STOUFFER,
                  Method.WILSON_HARMONIC, Method.CHEN}
 
-    @pytest.mark.parametrize("n", [1, 7, 9, 26])
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 26])
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
     def test_matches_batch(self, method, n):
         P = np.random.default_rng(43 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
         batch = evaluate_batch(spec(method), P)
+        # a lone (n,) vector is a batch of one row: its row's bits, 0-d
+        vectors = [evaluate_batch(spec(method), row) for row in P[:16]]
+        assert all(np.ndim(v) == 0 for v in vectors)
+        assert np.array_equal(np.array(vectors), batch[:16])
         single = np.array([evaluate_statistic(spec(method), row) for row in P])
         if method in self.SAME_BITS:
             assert np.array_equal(single, batch)

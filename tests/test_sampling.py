@@ -155,9 +155,9 @@ class TestStreams:
         # first value any cell reads as genuine; a lone cell scores its N·n values
         seen = []
 
-        def counting_score(spec, x):
+        def counting_score(spec, x, out=None):
             seen.append(x.size)
-            return score(spec, x)
+            return score(spec, x, out)
 
         monkeypatch.setattr(sampling, "score", counting_score)
         spec, N, R = MethodSpec(method), 199, 2

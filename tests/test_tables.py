@@ -347,16 +347,6 @@ class TestResolveQuantiles:
                 assert est == simulate_quantiles(self.FISHER, cfg)[0]
 
 
-def data_rows_digest(table, tmp_path):
-    # sha256 of the written CSV's data rows: the metadata lines name package
-    # and numpy versions
-    path = tmp_path / "table.csv"
-    write_csv(table, path)
-    rows = b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
-                    if not ln.startswith(b"#"))
-    return hashlib.sha256(rows).hexdigest()
-
-
 class TestSharedDraws:
     # a table draws each replica's stream once; every cell reads its own prefix
     SIM = dict(N=199, R=3, seed=29)
@@ -389,40 +379,35 @@ class TestSharedDraws:
         for cfg, estimates in zip(cfgs, simulate_cells(spec, cfgs)):
             assert estimates == simulate_quantiles(spec, cfg)
 
-    @pytest.mark.parametrize("token, digest", [
-        ("mg", "aa78f79a6780711622590fa40adc94e9ed5ef08733666741788bc604ff1d2384"),
-        ("chen", "2cb37dc1e7f828b7bb24064c899276cc8e6c8de255e5a721b22eeac73a3df9f1"),
-    ])
-    def test_streams_pinned(self, token, digest, tmp_path):
-        table = generate_table(MethodSpec(parse_method(token)), n_min=3, n_max=5, N=199, R=3,
-                               seed=11)
-        assert data_rows_digest(table, tmp_path) == digest
+    # sha256 of the data rows of small tables, with numpy 2.4.6: a change to
+    # any stream, or to the bits of a reduction that shows at six digits,
+    # changes a digest.  mg and chen on n = 3..5, chen's n_f = 0 cells exact;
+    # then every method simulated in every cell of n = 3..8
+    SMALL = dict(n_min=3, n_max=5, N=199, R=3, seed=11)
+    FROZEN = dict(n_min=3, n_max=8, N=999, R=4, seed=31, use_exact=False)
+    PINNED = [
+        ("mg", SMALL, "aa78f79a6780711622590fa40adc94e9ed5ef08733666741788bc604ff1d2384"),
+        ("chen", SMALL, "2cb37dc1e7f828b7bb24064c899276cc8e6c8de255e5a721b22eeac73a3df9f1"),
+        ("tippett", FROZEN, "61fe69c322fcb5231c79392a86e3fd630ccbd27cf7151f89ce9b21037a022389"),
+        ("fisher", FROZEN, "1063cb22b1c4263670169d137f6e4a11d698b6c5084191b8d08f2561931c1be6"),
+        ("gm", FROZEN, "1427bce4df937aec9c9e51e9fe541123906015d86b0ecc39409d71772150c894"),
+        ("min-gm", FROZEN, "35d393e88b5bdbf44c3e009cf20b07e46c96f15a9554dd087c053f40bb254e2d"),
+        ("stouffer", FROZEN, "2b2998db4e82635d2555c8c1d561357504167b701760052f27e31e8f3ab337dc"),
+        ("wilkinson", FROZEN, "80c07e455cfb95df612dd658b9315d4a7563689e33680d33782ee39c93c86744"),
+        ("edgington", FROZEN, "d6e6de0ed460fe6df88f1dfb2edf4955e3c1161797b1f6c575991a2435afadf2"),
+        ("mg", FROZEN, "c353c7241ba1be52b19e4c12ac9a1116f2d5b67009300fcbceeaa540aa52a5d5"),
+        ("harmonic", FROZEN, "15888b0f008fd02bdee7ce10804c718e0a854ff9eceeacd8bd8074c769a4089d"),
+        ("chen", FROZEN, "5d3d83a3dbd5295643b985e18e919de3c4bac7f0f2fb2ab3e42d238b37deb2d4"),
+    ]
 
-
-class TestStreamFreeze:
-    # sha256 of the data rows of a small table of every method, simulated in
-    # every cell, with numpy 2.4.6: a change to any stream, or to the bits of
-    # a reduction that shows at six digits, changes its digest
-    DIGESTS = {
-        Method.TIPPETT: "61fe69c322fcb5231c79392a86e3fd630ccbd27cf7151f89ce9b21037a022389",
-        Method.FISHER: "1063cb22b1c4263670169d137f6e4a11d698b6c5084191b8d08f2561931c1be6",
-        Method.GEOMETRIC_MEAN: "1427bce4df937aec9c9e51e9fe541123906015d86b0ecc39409d71772150c894",
-        Method.MIN_GEOMETRIC_MEANS:
-            "35d393e88b5bdbf44c3e009cf20b07e46c96f15a9554dd087c053f40bb254e2d",
-        Method.STOUFFER: "2b2998db4e82635d2555c8c1d561357504167b701760052f27e31e8f3ab337dc",
-        Method.WILKINSON: "80c07e455cfb95df612dd658b9315d4a7563689e33680d33782ee39c93c86744",
-        Method.EDGINGTON: "d6e6de0ed460fe6df88f1dfb2edf4955e3c1161797b1f6c575991a2435afadf2",
-        Method.MUDHOLKAR_GEORGE:
-            "c353c7241ba1be52b19e4c12ac9a1116f2d5b67009300fcbceeaa540aa52a5d5",
-        Method.WILSON_HARMONIC: "15888b0f008fd02bdee7ce10804c718e0a854ff9eceeacd8bd8074c769a4089d",
-        Method.CHEN: "5d3d83a3dbd5295643b985e18e919de3c4bac7f0f2fb2ab3e42d238b37deb2d4",
-    }
-
-    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
-    def test_data_rows_pinned(self, method, tmp_path):
-        table = generate_table(MethodSpec(method), n_min=3, n_max=8, N=999, R=4, seed=31,
-                               use_exact=False)
-        assert data_rows_digest(table, tmp_path) == self.DIGESTS[method]
+    @pytest.mark.parametrize("token, grid, digest", PINNED, ids=[f"{t}-{d}" for t, _, d in PINNED])
+    def test_streams_pinned(self, token, grid, digest, tmp_path):
+        # data rows only: the metadata lines name package and numpy versions
+        path = tmp_path / f"{token}.csv"
+        write_csv(generate_table(MethodSpec(parse_method(token)), **grid), path)
+        rows = b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                        if not ln.startswith(b"#"))
+        assert hashlib.sha256(rows).hexdigest() == digest
 
 
 class TestGenerationFailures:
