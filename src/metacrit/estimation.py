@@ -70,15 +70,18 @@ def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list:
     estimates = []
     for cfg, stats in zip(cfgs, draws):
         stats.sort()  # in place: each yielded array is the cell's own
-        estimates.append(stats[list(_ranks(first.N, cfg.q_list))])
+        estimates.append(stats[_ranks(first.N, cfg.q_list)])
     return estimates
 
 
 @functools.lru_cache(maxsize=256)
-def _ranks(N: int, q_list: tuple) -> tuple:
-    # 0-based order-statistic positions of the levels; every replica of a
-    # cell reads the same ones
-    return tuple(quantile_index(N, q) - 1 for q in q_list)
+def _ranks(N: int, q_list: tuple):
+    # 0-based order-statistic positions of the levels, one read-only index
+    # array that every replica of a cell reads
+    import numpy as np
+    ranks = np.array([quantile_index(N, q) - 1 for q in q_list], dtype=np.intp)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def aggregate(replica_values, q: float) -> QuantileEstimate:
@@ -88,13 +91,14 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
     vals = np.asarray(replica_values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise DomainError("need at least one replica estimate")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("replica estimates must be finite")
+    # the bits of vals.mean() and np.sum(...), without their Python wrappers
     R = vals.size
-    mean = float(vals.mean())
+    mean = float(np.add.reduce(vals)) / R
     if R == 1:
         return QuantileEstimate(q=q, estimate=mean, stderr=None, replicas=1)
-    stderr = float(math.sqrt(np.sum((vals - mean) ** 2) / (R * (R - 1))))
+    stderr = math.sqrt(float(np.add.reduce((vals - mean) ** 2)) / (R * (R - 1)))
     return QuantileEstimate(q=q, estimate=mean, stderr=stderr, replicas=R)
 
 

@@ -10,12 +10,12 @@ the identity, the binary op that folds a row's scores left to right, and the
 finish of the folded total given the row's length n, all against a
 namespace ``xp``.  On arrays ``xp`` is numpy (``_splits``, built on first
 use: importing this module loads no numpy), and ``fold`` makes one ufunc
-call per column of a row's parts, (..., k) arrays whose columns in turn make
-it up, into one new accumulator.  A row's value is thus the same however it
-is split into parts or blocks of rows, or when its first columns come folded
-already, though for rows of eight or more values not always the same in the
-last bits as numpy's ``np.sum``.  min-gm scores p as the complex
-log p + i log(1 - p), so one fold sums both logs.
+call per column of a (..., k) array into one new accumulator, or continues
+from ``start``, a row fold of earlier columns, when one is given.  A row's
+value is thus the same however its columns are split between a head and the
+rest, or its rows into blocks, though for rows of eight or more values not
+always the same in the last bits as numpy's ``np.sum``.  min-gm scores p as
+the complex log p + i log(1 - p), so one fold sums both logs.
 
 ``evaluate_statistic`` reads the same rows with ``math`` for ``xp``, folding
 one vector's Python floats with ``functools.reduce``, and imports no numpy:
@@ -185,27 +185,34 @@ def score(spec: MethodSpec, x, out=None):
     return out
 
 
-def fold(spec: MethodSpec, parts):
-    """The statistic's fold of each row of scored values, given as ``parts``:
-    a tuple of (..., k) arrays whose columns, in turn, make up each row.  It
-    writes op(op(c0, c1), c2)... left to right into one new array of the row
-    shape, with no joined matrix (a lone column is copied), so a fold of the
-    first columns may stand as a one-column part of a longer row."""
-    op = _splits()[spec.method][1]
-    columns = [part[..., j] for part in parts for j in range(part.shape[-1])]
-    if len(columns) == 1:
-        return columns[0].copy()
-    acc = op(columns[0], columns[1])[...]  # [...]: a 0-d total stays an array, not a scalar
-    for column in columns[2:]:
-        op(acc, column, out=acc)
+def _fold(op, x, start):
+    # op(op(c0, c1), c2)... over the columns of x, or op(op(start, c0), c1)...
+    k, j = x.shape[-1], 0
+    if start is None:
+        start, j = x[..., 0], 1
+    if j == k:
+        return start.copy()  # a lone column, or a head with no columns after it
+    acc = op(start, x[..., j])[...]  # [...]: a 0-d total stays an array, not a scalar
+    for i in range(j + 1, k):
+        op(acc, x[..., i], out=acc)
     return acc
 
 
-def reduce(spec: MethodSpec, parts, n: int):
-    """The statistic of each row of n scored values, given as ``parts`` (see
-    ``fold``): a new array."""
-    _, _, finish = _splits()[spec.method]
-    return finish(fold(spec, parts), n)
+def fold(spec: MethodSpec, x, start=None):
+    """The statistic's fold of each row of the (..., k) array ``x`` of scored
+    values: op(op(c0, c1), c2)... left to right, written into one new array of
+    the row shape (a lone column is copied).  Given ``start``, the row fold of
+    earlier columns (a fake head), it continues from it, op(op(start, c0),
+    c1)..., so a row's fold is the same however its columns are split."""
+    return _fold(_splits()[spec.method][1], x, start)
+
+
+def reduce(spec: MethodSpec, x, n: int, start=None):
+    """The statistic of each row of n scored values: the fold of ``x``'s
+    columns, continued from ``start`` where given (see ``fold``), finished.  A
+    new array."""
+    _, op, finish = _splits()[spec.method]
+    return finish(_fold(op, x, start), n)
 
 
 # statistics of the normal scores z = Phi^-1(p), which the simulation draws
@@ -222,7 +229,7 @@ def evaluate_batch(spec: MethodSpec, pmatrix):
         raise DomainError("p-value vectors must be non-empty")
     if spec.method in SCORE_STATISTICS:
         pmatrix = normal_inv_cdf(pmatrix)
-    return reduce(spec, (score(spec, pmatrix),), pmatrix.shape[-1])
+    return reduce(spec, score(spec, pmatrix), pmatrix.shape[-1])
 
 
 def evaluate_statistic(spec: MethodSpec, p) -> float:

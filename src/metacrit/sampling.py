@@ -21,11 +21,12 @@ scores and a finish (see ``methods``).  A table therefore scores its prefix
 once as well: the fake pairs' minima, then every value that some cell reads
 as genuine, a block at a time, each block's scores written back over it
 (min-gm's two logs straight into the channels of one new complex buffer for
-the values read); an identity score (Tippett,
-Stouffer, Wilkinson, Edgington) leaves the prefix as drawn.  Every cell with
-n_f fakes reads the same first N·n_f pair minima, first in each row, so each
-fake count's columns are folded once, into a head, and each cell continues
-from its head over the view of its genuine values, with no joined matrix.
+the values read); an identity score (Tippett, Stouffer, Wilkinson,
+Edgington) leaves the prefix as drawn.  Every cell with n_f fakes reads the
+same first N·n_f pair minima, first in each row, so each fake count's
+columns are folded once, into a head, and each cell continues that fold
+over its genuine (N, n - n_f) view, sliced straight from the scored prefix,
+with no joined matrix.
 A score depends on nothing but its element, and the fold takes a row's
 columns left to right whatever views hold them, so each statistic is bit
 for bit the one a cell of its own computes.
@@ -61,7 +62,8 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
     n_f      how many of the n are fake, 0 <= n_f <= n
     N        statistic draws per replica
     R        replicas
-    seed     64-bit master seed
+    seed     master seed: any nonnegative integer, of any size; the same
+             seed always gives the same streams
     q_list   quantile levels, strictly increasing inside (0, 1)
     """
 
@@ -127,16 +129,6 @@ def _prefix(cells, N: int, stream, scores: bool):
     return base, np.minimum(pairs[0::2], pairs[1::2])
 
 
-def _parts(prefix, n: int, n_f: int, N: int, start: int = 0) -> tuple:
-    """Cell (n, n_f)'s (N, n) matrix from a ``_prefix`` as two views, its
-    columns in turn: the n_f fakes (the minima of the prefix's first N·n_f
-    pairs), then the genuine (N, n - n_f) values that follow those pairs in
-    the stream.  The prefix's values may begin at stream position ``start``."""
-    base, minima = prefix
-    return (minima[:N * n_f].reshape(N, n_f),
-            base[2 * N * n_f - start:N * (n + n_f) - start].reshape(N, n - n_f))
-
-
 def sample_pmatrix(n: int, n_f: int, N: int, stream):
     """N samples of n p-values as an (N, n) matrix: in each row the n_f
     fakes come first, then the n - n_f genuine values.
@@ -145,7 +137,8 @@ def sample_pmatrix(n: int, n_f: int, N: int, stream):
     is only a convention.
     """
     import numpy as np
-    return np.concatenate(_parts(_prefix([(n, n_f)], N, stream, scores=False), n, n_f, N), axis=1)
+    base, minima = _prefix([(n, n_f)], N, stream, scores=False)
+    return np.concatenate([minima.reshape(N, n_f), base[2 * N * n_f:].reshape(N, n - n_f)], axis=1)
 
 
 def _scored(spec: MethodSpec, values):
@@ -174,12 +167,13 @@ def sample_cells(spec: MethodSpec, cells, N: int, stream):
     # cell that is exactly its N·n values.  In blocks, because temporaries as
     # large as the prefix would raise peak memory.
     start = 2 * N * min(n_f for _, n_f in cells)
-    prefix = (_scored(spec, base[start:]), _scored(spec, minima))
+    values, minima = _scored(spec, base[start:]), _scored(spec, minima)
     # each fake count's columns are folded once, into a head: every cell with
-    # n_f fakes continues the fold from it over its genuine columns
+    # n_f fakes continues the fold from it over its genuine (N, n - n_f) view,
+    # the values that follow its N·n_f pairs in the stream
     heads = {}
     for n, n_f in cells:
-        fakes, genuine = _parts(prefix, n, n_f, N, start)
         if n_f and n_f not in heads:
-            heads[n_f] = fold(spec, (fakes,))
-        yield reduce(spec, (heads[n_f][:, None], genuine) if n_f else (genuine,), n)
+            heads[n_f] = fold(spec, minima[:N * n_f].reshape(N, n_f))
+        genuine = values[2 * N * n_f - start:N * (n + n_f) - start].reshape(N, n - n_f)
+        yield reduce(spec, genuine, n, heads.get(n_f))

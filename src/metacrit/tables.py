@@ -48,6 +48,9 @@ _META = {"seed": lambda v: int(v, 0), "N": int, "R": int, "version": str, "numpy
 class TableLookupError(KeyError):
     """Requested key is not in the table; no interpolation is attempted."""
 
+    # KeyError's str is the repr of its key; this error's argument is a message
+    __str__ = Exception.__str__
+
 
 class TableParseError(ValueError):
     """Malformed CSV row or metadata line; carries the offending line number."""
@@ -298,7 +301,7 @@ def lookup(table: CriticalValueTable, method: Method, n: int, n_f: int, q: float
     nearest = min(qs, key=lambda v: abs(v - q))
     raise TableLookupError(
         f"no cell at q={q!r} for (n={n}, n_f={n_f}); nearest tabulated q is {nearest!r} "
-        f"of {[repr(v) for v in qs]}"
+        f"of {', '.join(map(repr, qs))}"
     )
 
 

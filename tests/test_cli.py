@@ -120,6 +120,21 @@ class TestCritical:
         assert code == 3
         assert "available n" in err
 
+    @pytest.mark.parametrize("key, line", [
+        (("--n", "30", "--nf", "0", "--q", "0.95"),
+         "error: no cells for n=30 (method mg); available n: 3..4"),
+        (("--n", "3", "--nf", "1", "--q", "0.97"),
+         "error: no cell at q=0.97 for (n=3, n_f=1); nearest tabulated q is 0.975 of "
+         "0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995"),
+    ], ids=["n", "q"])
+    def test_table_miss_message_is_plain(self, key, line, tmp_path, capsys):
+        # the lookup error's own words, unquoted, and the levels as numbers
+        path = tmp_path / "mg.csv"
+        run(capsys, "gen-table", "--method", "mg", "--n-max", "4",
+            "--N", "99", "--R", "2", "--out", str(path))
+        code, out, err = run(capsys, "critical", "--method", "mg", *key, "--table", str(path))
+        assert (code, out, err) == (3, "", line + "\n")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "critical", "--method", "fisher", "--n", "3",
                            "--nf", "0", "--q", "0.95")

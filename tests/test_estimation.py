@@ -1,9 +1,12 @@
 """Order-statistic quantile estimator, replica aggregation, and the CLT
 confidence interval."""
 
+import math
+
 import numpy as np
 import pytest
 
+from metacrit import estimation
 from metacrit.estimation import (
     QuantileEstimate,
     aggregate,
@@ -66,6 +69,20 @@ class TestAggregate:
         with pytest.raises(DomainError):
             aggregate([], 0.5)
 
+    @pytest.mark.parametrize("R", [2, 7, 8, 50])
+    def test_textbook_bits(self, R):
+        # the bits of vals.mean() and np.sum((vals - mean) ** 2), for a
+        # contiguous vector and for a strided column of an (R, L) array, the
+        # view simulate_cells passes; neither input is written
+        rows = np.random.default_rng(R).normal(3.0, 0.01, size=(R, 10))
+        for vals in (rows[:, 0].copy(), rows[:, 7]):
+            before = vals.copy()
+            est = aggregate(vals, 0.5)
+            mean = vals.mean()
+            assert est.estimate == mean
+            assert est.stderr == math.sqrt(np.sum((vals - mean) ** 2) / (R * (R - 1)))
+            assert np.array_equal(vals, before)
+
 
 class TestConfidenceInterval:
     def test_reference_interval(self):
@@ -115,6 +132,16 @@ class TestRunReplica:
         cfg = SimConfig(n=5, n_f=2, N=999, R=1, seed=7)
         [vals] = run_replica(spec, [cfg], 0)
         assert np.all(np.diff(vals) >= 0)
+
+    def test_ranks_are_one_read_only_index(self):
+        # every replica of a cell reads its order statistics through one
+        # cached index array, which no caller can write
+        ranks = estimation._ranks(4999, DEFAULT_Q_LEVELS)
+        assert ranks.dtype == np.intp
+        assert ranks.tolist() == [24, 49, 124, 249, 499, 4499, 4749, 4874, 4949, 4974]
+        assert estimation._ranks(4999, DEFAULT_Q_LEVELS) is ranks
+        with pytest.raises(ValueError, match="read-only"):
+            ranks[0] = 0
 
     def test_replica_index_bounds(self):
         spec = MethodSpec(Method.FISHER)

@@ -14,6 +14,7 @@ from metacrit.methods import (
     Tail,
     evaluate_batch,
     evaluate_statistic,
+    fold,
     parse_method,
     reduce,
     score,
@@ -177,15 +178,16 @@ class TestProperties:
 
     @pytest.mark.parametrize("s", SPECS, ids=[s.method.token for s in SPECS])
     def test_reduction_ignores_how_rows_are_split(self, s):
-        # a cell reduces its fakes and its genuine values as two views: any
+        # a cell continues the fold of its fakes over its genuine values: any
         # split of the columns, and any blocks of rows, give the same bits
         for n in (2, 9, 26):
             P = np.random.default_rng(41 + n).uniform(1e-9, 1 - 1e-9, size=(257, n))
             A = score(s, normal_inv_cdf(P) if s.method in SCORE_STATISTICS else P)
-            whole = reduce(s, (A,), n)
+            whole = reduce(s, A, n)
             for k in range(n + 1):
-                assert np.array_equal(reduce(s, (A[:, :k], A[:, k:]), n), whole), (n, k)
-            blocks = np.concatenate([reduce(s, (A[a:a + 50],), n) for a in range(0, len(A), 50)])
+                head = fold(s, A[:, :k]) if k else None
+                assert np.array_equal(reduce(s, A[:, k:], n, head), whole), (n, k)
+            blocks = np.concatenate([reduce(s, A[a:a + 50], n) for a in range(0, len(A), 50)])
             assert np.array_equal(blocks, whole)
 
     @pytest.mark.parametrize("method", [Method.STOUFFER, Method.CHEN])
@@ -194,7 +196,7 @@ class TestProperties:
         pm = np.random.default_rng(31).uniform(1e-9, 1 - 1e-9, size=(200, 6))
         s = spec(method)
         assert np.array_equal(evaluate_batch(s, pm),
-                              reduce(s, (score(s, normal_inv_cdf(pm)),), 6))
+                              reduce(s, score(s, normal_inv_cdf(pm)), 6))
 
 
 class TestScalarStatistic:

@@ -134,8 +134,8 @@ class TestStreams:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_row_blocks_equal_whole_matrix(self, method):
-        # (26, 8) at N = 4999 is scored in blocks and reduced from the fakes'
-        # and the genuine values' views; the statistic of the joined matrix at
+        # (26, 8) at N = 4999 is scored in blocks and its genuine view folded
+        # on from the fakes' head; the statistic of the joined matrix at
         # once must agree float for float
         n, n_f, N = 26, 8, 4999
         spec = MethodSpec(method)
@@ -144,7 +144,7 @@ class TestStreams:
         if method in SCORE_STATISTICS:
             fakes = twin.standard_normal((N, n_f, 2)).min(axis=2)
             z = np.concatenate([fakes, twin.standard_normal((N, n - n_f))], axis=1)
-            whole = reduce(spec, (score(spec, z),), n)
+            whole = reduce(spec, score(spec, z), n)
         else:
             whole = evaluate_batch(spec, sample_pmatrix(n, n_f, N, twin))
         assert np.array_equal(drawn, whole)
