@@ -6,12 +6,17 @@ t_{floor(q(N+1)):N} at every level q.  Across replicas: average the R
 estimates and attach the standard error sqrt(sum (t_i - mean)^2 / (R(R-1))),
 from which a normal confidence interval follows.  The replica is the unit of
 parallel work: each is a pure function of (seed, replica index).
+
+Memory: a replica holds its prefix of the stream, the scores and the fake
+heads while it runs; the simulation keeps only one (R, total levels) array of
+order statistics, filled a row per replica and read a column per level.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import os
 
@@ -105,6 +110,9 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
 def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[QuantileEstimate]]:
     """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
     replicas, each drawing its stream once for all cells, aggregated per level.
+    Every replica's estimates go, as they arrive, into one row of an
+    (R, total levels) array, each cell's levels in one run of columns, so a
+    simulation holds R floats per level and no per-replica arrays.
     ``workers`` > 1 runs contiguous blocks of replicas on min(workers, R, cores)
     processes, with the same result.  An empty list of cells gives an empty list."""
     import numpy as np
@@ -115,6 +123,7 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
     if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
         raise DomainError("cells simulated together must share N, R and seed")
     R = cfgs[0].R
+    rows = np.empty((R, sum(len(cfg.q_list) for cfg in cfgs)))
     replica = functools.partial(run_replica, spec, cfgs)
     # more processes than replicas or cores only adds fork and import cost
     workers = min(workers, R, os.cpu_count() or 1)
@@ -122,14 +131,18 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
         import concurrent.futures  # deferred: its import costs every cold start
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                replicas = list(pool.map(replica, range(R), chunksize=-(-R // workers)))
+                estimates = pool.map(replica, range(R), chunksize=-(-R // workers))
+                for row, cells in zip(rows, estimates):
+                    np.concatenate(cells, out=row)
         except concurrent.futures.BrokenExecutor as err:
             raise ChildProcessError(str(err)) from err
     else:
-        replicas = [replica(r) for r in range(R)]
-    # zip(*replicas) regroups by cell: an (R, levels) array for each
-    return [[aggregate(rows[:, j], q) for j, q in enumerate(cfg.q_list)]
-            for cfg, rows in zip(cfgs, map(np.array, zip(*replicas)))]
+        for r, row in enumerate(rows):
+            np.concatenate(replica(r), out=row)
+    # a cell's levels are the columns at..at + len(q_list) - 1
+    starts = itertools.accumulate((len(cfg.q_list) for cfg in cfgs), initial=0)
+    return [[aggregate(rows[:, at + j], q) for j, q in enumerate(cfg.q_list)]
+            for cfg, at in zip(cfgs, starts)]
 
 
 def simulate_quantiles(spec: MethodSpec, cfg: SimConfig) -> list[QuantileEstimate]:

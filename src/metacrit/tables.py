@@ -147,7 +147,10 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     cells of ``table``, else one simulation with ``sim = (N, R, seed)`` of every
     level left in every cell, its replicas spread over ``workers`` processes.
     A table miss re-raises its TableLookupError when ``sim`` is None; with no
-    law and no source this raises UnsupportedExactError."""
+    law and no source this raises UnsupportedExactError, and a level outside
+    (0, 1), nan included, raises DomainError whatever the source."""
+    if any(not (0.0 < q < 1.0) for q in q_list):
+        raise DomainError("quantile levels must lie strictly inside (0, 1)")
     if sim is not None:  # reject a bad N, R or seed before any source is consulted
         SimConfig(1, 0, *sim)
     found = [{} for _ in cells]

@@ -135,6 +135,21 @@ class TestCritical:
         code, out, err = run(capsys, "critical", "--method", "mg", *key, "--table", str(path))
         assert (code, out, err) == (3, "", line + "\n")
 
+    @pytest.mark.parametrize("q", ["1.5", "nan", "0"])
+    @pytest.mark.parametrize("source", ["--exact", "--table", "--simulate"])
+    def test_impossible_level_is_usage_error(self, source, q, tmp_path, capsys):
+        # one check before any source: never a table miss or a missing law
+        argv = [source]
+        if source == "--table":
+            path = tmp_path / "mg.csv"
+            run(capsys, "gen-table", "--method", "mg", "--n-max", "4",
+                "--N", "99", "--R", "2", "--out", str(path))
+            argv.append(str(path))
+        code, out, err = run(capsys, "critical", "--method", "mg", "--n", "3", "--nf", "1",
+                             "--q", q, *argv, "--N", "99", "--R", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: quantile levels must lie strictly inside (0, 1)\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "critical", "--method", "fisher", "--n", "3",
                            "--nf", "0", "--q", "0.95")

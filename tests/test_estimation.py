@@ -2,6 +2,8 @@
 confidence interval."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from metacrit.exact import exact_quantile
 from metacrit.methods import Method, MethodSpec
 from metacrit.sampling import DEFAULT_Q_LEVELS, SimConfig, replica_stream
 from metacrit.special import DomainError
+from metacrit.tables import default_grid
 
 
 class TestQuantileIndex:
@@ -175,6 +178,37 @@ class TestSimulateQuantiles:
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(DomainError, match="workers must be >= 1"):
             simulate_cells(MethodSpec(Method.WILSON_HARMONIC), [], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_with_their_own_levels_equal_cell_alone(self, monkeypatch, workers):
+        # levels of different counts in one call: each cell reads its own run
+        # of columns of the shared estimates
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = MethodSpec(Method.MUDHOLKAR_GEORGE)
+        sim = dict(N=199, R=5, seed=11)
+        cfgs = [SimConfig(n=6, n_f=2, q_list=(0.95,), **sim),
+                SimConfig(n=5, n_f=1, **sim),
+                SimConfig(n=4, n_f=0, q_list=(0.01, 0.5, 0.99), **sim),
+                SimConfig(n=3, n_f=3, q_list=(0.05, 0.975), **sim)]
+        got = simulate_cells(spec, cfgs, workers=workers)
+        assert [len(estimates) for estimates in got] == [1, 10, 3, 2]
+        for cfg, estimates in zip(cfgs, got):
+            assert estimates == simulate_quantiles(spec, cfg)
+
+    def test_memory_is_one_float_per_replica_and_level(self):
+        # the traced peak of a default mg grid stays near the R x levels
+        # floats it must keep, with no per-replica arrays held to the end
+        spec = MethodSpec(Method.MUDHOLKAR_GEORGE)
+        R = 400
+        cfgs = [SimConfig(n, n_f, N=99, R=R) for n, n_f in default_grid()]
+        simulate_cells(spec, cfgs[:2])  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            simulate_cells(spec, cfgs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * R * sum(len(cfg.q_list) for cfg in cfgs) * 8
 
     def test_deterministic(self):
         spec = MethodSpec(Method.WILSON_HARMONIC)
