@@ -3,6 +3,13 @@ test decisions, and simulation diagnostics.
 
 Exit codes are a stable contract: 0 success, 1 numeric failure, 2 usage
 error, 3 not-found / unsupported combination.
+
+argparse owns the flag shapes: types, required flags, and the one source
+each of ``critical`` and ``combine`` needs, so a missing or conflicting flag
+prints its usage line and exits 2.  ``tables.resolve_quantiles`` owns the
+cell and level rules and the source order: an impossible cell or level is a
+usage error whichever source is asked, and ``combine`` reads ``--table``
+whenever it is given.
 """
 
 from __future__ import annotations
@@ -38,55 +45,42 @@ EXIT_NOT_FOUND = 3
 SEED_ENV_VAR = "METACRIT_SEED"
 
 
-class CliError(ValueError):
-    # ValueError so argparse turns a bad flag value into its usage error
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+class CliError(argparse.ArgumentTypeError):
+    """A usage error.  Raised by a flag's type, argparse prints it as its own
+    usage error."""
 
 
 def _parse_seed(text: str) -> int:
     try:
         seed = int(text, 0)
     except ValueError:
-        raise CliError(f"seed {text!r} is not a decimal or 0x-hex integer", EXIT_USAGE)
+        raise CliError(f"seed {text!r} is not a decimal or 0x-hex integer")
     if seed < 0:
-        raise CliError("seed must be nonnegative", EXIT_USAGE)
+        raise CliError("seed must be nonnegative")
     return seed
-
-
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env:
-        return _parse_seed(env)
-    return DEFAULT_SEED
 
 
 def _parse_q_list(text: str):
     try:
         qs = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise CliError(f"bad q list {text!r}", EXIT_USAGE)
+        raise CliError(f"bad q list {text!r}")
     if not qs:
-        raise CliError("empty q list", EXIT_USAGE)
+        raise CliError("empty q list")
     return tuple(sorted(qs))
 
 
 def _parse_pvalues(args) -> list:
-    if args.p is not None and args.p_file is not None:
-        raise CliError("give --p or --p-file, not both", EXIT_USAGE)
+    # argparse has made sure exactly one of --p and --p-file is given
     if args.p is not None:
         tokens = [tok for tok in args.p.split(",") if tok.strip()]
-    elif args.p_file is not None:
+    else:
         lines = _read_file(args.p_file, lambda path: Path(path).read_text().splitlines())
         tokens = [ln.strip() for ln in lines if ln.strip()]
-    else:
-        raise CliError("p-values required: --p or --p-file", EXIT_USAGE)
     try:
-        values = [float(tok) for tok in tokens]
+        return [float(tok) for tok in tokens]
     except ValueError:
-        raise CliError("p-values must be numeric", EXIT_USAGE)
-    return values
+        raise CliError("p-values must be numeric")
 
 
 def _read_file(path, parse):
@@ -94,7 +88,7 @@ def _read_file(path, parse):
     try:
         return parse(path)
     except (OSError, UnicodeDecodeError) as err:
-        raise CliError(f"cannot read {path}: {err}", EXIT_USAGE)
+        raise CliError(f"cannot read {path}: {err}")
 
 
 def _check_writable(path):
@@ -105,7 +99,7 @@ def _check_writable(path):
         with open(path, "a"):
             pass
     except OSError as err:
-        raise CliError(f"cannot write {path}: {err}", EXIT_USAGE)
+        raise CliError(f"cannot write {path}: {err}")
     if not existed:
         os.remove(path)
 
@@ -152,9 +146,6 @@ def _cmd_gen_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     spec = MethodSpec(parse_method(args.method))
-    if args.exact + (args.table is not None) + args.simulate != 1:
-        raise CliError("choose exactly one of --exact, --table PATH, --simulate", EXIT_USAGE)
-
     table = _read_file(args.table, read_csv) if args.table is not None else None
     sim = (args.N, args.R, args.seed) if args.simulate else None
     try:
@@ -178,17 +169,11 @@ def _cmd_combine(args) -> int:
         spec = MethodSpec(spec.method, tail=Tail(args.tail))
     values = _parse_pvalues(args)
     n = len(values)
-    if not (0 <= args.nf <= n):
-        raise CliError(f"n_f={args.nf} outside 0..{n}", EXIT_USAGE)
     if not (0.0 < args.alpha < 1.0):
-        raise CliError("alpha must lie strictly inside (0, 1)", EXIT_USAGE)
-    try:
-        statistic = evaluate_statistic(spec, values)
-    except DomainError as err:
-        raise CliError(str(err), EXIT_USAGE)
+        raise CliError("alpha must lie strictly inside (0, 1)")
+    statistic = evaluate_statistic(spec, values)
 
-    needs_table = args.table and not has_exact_quantile(spec, n, args.nf)
-    table = _read_file(args.table, read_csv) if needs_table else None
+    table = _read_file(args.table, read_csv) if args.table is not None else None
     sim = (args.N, args.R, args.seed)
     [criticals] = resolve_quantiles(spec, [(n, args.nf)], spec.levels(args.alpha), table=table,
                                     sim=sim)
@@ -247,7 +232,10 @@ def _add_sim_flags(p, with_R=True):
     p.add_argument("--N", type=int, default=DEFAULT_N_SAMPLES, help="samples per replica")
     if with_R:
         p.add_argument("--R", type=int, default=DEFAULT_N_REPLICAS, help="replicas")
-    p.add_argument("--seed", type=_parse_seed, default=None,
+    # a string default: argparse parses it through _parse_seed only when
+    # --seed is absent
+    p.add_argument("--seed", type=_parse_seed,
+                   default=os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED),
                    help=f"master seed, decimal or 0x-hex (default {DEFAULT_SEED}, "
                         f"or ${SEED_ENV_VAR})")
 
@@ -277,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--nf", type=int, required=True)
     c.add_argument("--q", type=float, required=True)
-    c.add_argument("--exact", action="store_true")
-    c.add_argument("--table", default=None, help="CSV from gen-table")
-    c.add_argument("--simulate", action="store_true")
+    source = c.add_mutually_exclusive_group(required=True)
+    source.add_argument("--exact", action="store_true")
+    source.add_argument("--table", default=None, help="CSV from gen-table")
+    source.add_argument("--simulate", action="store_true")
     _add_sim_flags(c)
     c.set_defaults(func=_cmd_critical)
 
@@ -288,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--alpha", type=float, required=True)
     m.add_argument("--nf", type=int, required=True,
                    help="assumed number of fake p-values among the inputs")
-    m.add_argument("--p", default=None, help="comma-separated p-values")
-    m.add_argument("--p-file", default=None, help="file with one p-value per line")
+    pvalues = m.add_mutually_exclusive_group(required=True)
+    pvalues.add_argument("--p", default=None, help="comma-separated p-values")
+    pvalues.add_argument("--p-file", default=None, help="file with one p-value per line")
     m.add_argument("--tail", choices=[t.value for t in Tail], default=None)
     m.add_argument("--table", default=None, help="CSV to look critical values up in")
     m.add_argument("--json", action="store_true")
@@ -318,16 +308,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except (TableLookupError, UnsupportedExactError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (TableParseError, DomainError) as err:
+    except (CliError, TableParseError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (TableGenerationError, ConvergenceError, OSError, ArithmeticError, MemoryError) as err:

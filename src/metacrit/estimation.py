@@ -22,7 +22,7 @@ import os
 
 from .methods import MethodSpec
 from .sampling import SimConfig, replica_stream, sample_cells
-from .special import DomainError, normal_inv_cdf
+from .special import DomainError, check_levels, normal_inv_cdf
 
 __all__ = [
     "QuantileEstimate",
@@ -57,8 +57,7 @@ def quantile_index(N: int, q: float) -> int:
     """1-based order-statistic index floor(q(N+1)), clamped to 1..N."""
     if N < 1:
         raise DomainError("sample size must be >= 1")
-    if not (0.0 < q < 1.0):
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_levels(q)
     idx = int(math.floor(q * (N + 1) + _INDEX_GUARD))
     return min(max(idx, 1), N)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .methods import Method, MethodSpec
+from .methods import Method, MethodSpec, check_cell
 from .special import (
     DomainError,
     _map,
+    check_levels,
     invert_cdf,
     normal_cdf,
     normal_inv_cdf,
@@ -40,13 +41,6 @@ __all__ = [
 
 class UnsupportedExactError(LookupError):
     """No exact law is available for the requested combination."""
-
-
-def _check_grid(n: int, n_f: int):
-    if n < 1:
-        raise DomainError("sample size n must be >= 1")
-    if not (0 <= n_f <= n):
-        raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
 
 
 def _wilkinson_cdf(n: int, n_f: int, x: float) -> float:
@@ -108,7 +102,7 @@ _LAWS = {
 
 def has_exact_quantile(spec: MethodSpec, n: int, n_f: int) -> bool:
     """Whether an exact law exists for (method, n, n_f)."""
-    _check_grid(n, n_f)
+    check_cell(n, n_f)
     law = _LAWS.get(spec.method)
     return law is not None and law[0](n, n_f)
 
@@ -125,8 +119,7 @@ def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
     combination has no exact law."""
     _, cdf, quantile = _law(spec, n, n_f)
     q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_levels(q)
     x = None if quantile is None else quantile(n, n_f, q)
     return invert_cdf(lambda v: cdf(n, n_f, v), q, 0.0, 1.0) if x is None else x
 

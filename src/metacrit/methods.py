@@ -40,6 +40,7 @@ __all__ = [
     "Tail",
     "MethodSpec",
     "parse_method",
+    "check_cell",
     "evaluate_statistic",
     "evaluate_batch",
     "score",
@@ -98,6 +99,13 @@ def parse_method(name: str) -> Method:
         known = "|".join(m.token for m in Method)
         raise DomainError(f"unknown method {name!r}; expected one of {known}")
     return _TOKENS[token]
+
+
+def check_cell(n: int, n_f: int):
+    """The one rule for a cell: n >= 1 p-values, of which 0 <= n_f <= n are
+    fake; raises DomainError naming both values otherwise."""
+    if not (n >= 1 and 0 <= n_f <= n):
+        raise DomainError(f"need n >= 1 and 0 <= n_f <= n; got n={n}, n_f={n_f}")
 
 
 class MethodSpec(collections.namedtuple("MethodSpec", "method tail")):

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import collections
 
-from .methods import SCORE_STATISTICS, MethodSpec, fold, reduce, score
-from .special import DomainError
+from .methods import SCORE_STATISTICS, MethodSpec, check_cell, fold, reduce, score
+from .special import DomainError, check_levels
 
 __all__ = [
     "DEFAULT_SEED",
@@ -71,10 +71,7 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
 
     def __new__(cls, n: int, n_f: int, N: int = DEFAULT_N_SAMPLES, R: int = DEFAULT_N_REPLICAS,
                 seed: int = DEFAULT_SEED, q_list: tuple = DEFAULT_Q_LEVELS):
-        if n < 1:
-            raise DomainError("sample size n must be >= 1")
-        if not (0 <= n_f <= n):
-            raise DomainError("fake count n_f must satisfy 0 <= n_f <= n")
+        check_cell(n, n_f)
         if N < 1 or R < 1:
             raise DomainError("N and R must be >= 1")
         if seed < 0:
@@ -82,8 +79,7 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
         qs = tuple(float(q) for q in q_list)
         if len(qs) == 0:
             raise DomainError("q_list must be non-empty")
-        if any(not (0.0 < q < 1.0) for q in qs):
-            raise DomainError("quantile levels must lie strictly inside (0, 1)")
+        check_levels(*qs)
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise DomainError("quantile levels must be strictly increasing")
         return tuple.__new__(cls, (n, n_f, N, R, seed, qs))
@@ -121,9 +117,10 @@ def _prefix(cells, N: int, stream, scores: bool):
     """Check the (n, n_f) cells, draw the longest stream prefix they read, and
     return it with the minima of its fake pairs, N·max n_f of them."""
     import numpy as np
+    if N < 1:
+        raise DomainError(f"need N >= 1; got N={N}")
     for n, n_f in cells:
-        if N < 1 or n < 1 or not (0 <= n_f <= n):
-            raise DomainError(f"need N, n >= 1 and 0 <= n_f <= n; got N={N}, n={n}, n_f={n_f}")
+        check_cell(n, n_f)
     base = _draw(stream, N * max(n + n_f for n, n_f in cells), scores)
     pairs = base[:2 * N * max(n_f for _, n_f in cells)]
     return base, np.minimum(pairs[0::2], pairs[1::2])

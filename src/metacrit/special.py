@@ -23,6 +23,7 @@ import math
 __all__ = [
     "DomainError",
     "ConvergenceError",
+    "check_levels",
     "normal_cdf",
     "normal_inv_cdf",
     "reg_lower_gamma",
@@ -45,6 +46,14 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its deterministic cap."""
+
+
+def check_levels(*qs):
+    """The one rule for quantile levels: each lies strictly inside (0, 1), so
+    nan never does; raises DomainError otherwise."""
+    for q in qs:  # a loop, not all(): no generator on the per-cell path
+        if not 0.0 < q < 1.0:
+            raise DomainError("quantile levels must lie strictly inside (0, 1)")
 
 
 def _map(f, x):
@@ -251,7 +260,6 @@ def gamma_quantile(shape, q):
     """Quantile of the Gamma(shape, 1) distribution: the root of its CDF
     from [0, 1], as ``exact.exact_quantile`` finds Fisher's and Chen's."""
     q = float(q)
-    if not (0.0 < q < 1.0):
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_levels(q)
     return invert_cdf(lambda x: reg_lower_gamma(shape, x), q, 0.0, 1.0)
 

@@ -16,7 +16,7 @@ import math
 from . import __version__
 from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
-from .methods import Method, MethodSpec, parse_method
+from .methods import Method, MethodSpec, check_cell, parse_method
 from .sampling import (
     DEFAULT_N_REPLICAS,
     DEFAULT_N_SAMPLES,
@@ -24,7 +24,7 @@ from .sampling import (
     DEFAULT_SEED,
     SimConfig,
 )
-from .special import ConvergenceError, DomainError
+from .special import ConvergenceError, DomainError, check_levels
 
 __all__ = [
     "TableLookupError",
@@ -81,9 +81,12 @@ class TableCell(collections.namedtuple(
 
     def __new__(cls, method: Method, n: int, n_f: int, q: float, estimate: float,
                 stderr: float | None, provenance: str):
-        # a nan or infinite critical value would decide every comparison one
+        # a key breaking the cell or level rule could never be looked up; a
+        # nan or infinite critical value would decide every comparison one
         # way; simulated cells may lack a stderr only when R = 1, and exact
         # cells never carry one
+        check_cell(n, n_f)
+        check_levels(q)
         if provenance not in (EXACT, SIMULATED):
             raise DomainError(f"unknown provenance {provenance!r}")
         if not math.isfinite(estimate):
@@ -148,9 +151,11 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     level left in every cell, its replicas spread over ``workers`` processes.
     A table miss re-raises its TableLookupError when ``sim`` is None; with no
     law and no source this raises UnsupportedExactError, and a level outside
-    (0, 1), nan included, raises DomainError whatever the source."""
-    if any(not (0.0 < q < 1.0) for q in q_list):
-        raise DomainError("quantile levels must lie strictly inside (0, 1)")
+    (0, 1), nan included, or a cell breaking ``check_cell`` raises DomainError
+    whatever the source."""
+    check_levels(*q_list)
+    for n, n_f in cells:
+        check_cell(n, n_f)
     if sim is not None:  # reject a bad N, R or seed before any source is consulted
         SimConfig(1, 0, *sim)
     found = [{} for _ in cells]

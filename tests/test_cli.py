@@ -25,6 +25,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def source_flags(source, tmp_path, capsys):
+    # the flags that pick one source of `critical`; --table names a small mg table
+    if source != "--table":
+        return [source]
+    path = tmp_path / "mg.csv"
+    run(capsys, "gen-table", "--method", "mg", "--n-max", "4",
+        "--N", "99", "--R", "2", "--out", str(path))
+    return [source, str(path)]
+
+
 class TestGenTable:
     def test_exact_tippett_matches_published(self, tmp_path, capsys, reference_tables):
         out = tmp_path / "t.csv"
@@ -139,21 +149,31 @@ class TestCritical:
     @pytest.mark.parametrize("source", ["--exact", "--table", "--simulate"])
     def test_impossible_level_is_usage_error(self, source, q, tmp_path, capsys):
         # one check before any source: never a table miss or a missing law
-        argv = [source]
-        if source == "--table":
-            path = tmp_path / "mg.csv"
-            run(capsys, "gen-table", "--method", "mg", "--n-max", "4",
-                "--N", "99", "--R", "2", "--out", str(path))
-            argv.append(str(path))
         code, out, err = run(capsys, "critical", "--method", "mg", "--n", "3", "--nf", "1",
-                             "--q", q, *argv, "--N", "99", "--R", "2")
+                             "--q", q, *source_flags(source, tmp_path, capsys),
+                             "--N", "99", "--R", "2")
         assert (code, out) == (2, "")
         assert err == "error: quantile levels must lie strictly inside (0, 1)\n"
 
     def test_requires_exactly_one_source(self, capsys):
-        code, _, err = run(capsys, "critical", "--method", "fisher", "--n", "3",
-                           "--nf", "0", "--q", "0.95")
-        assert code == 2
+        # argparse's required group: its usage error, as for a bad --seed;
+        # no source given, then two
+        for sources in [(), ("--exact", "--simulate")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["critical", "--method", "fisher", "--n", "3", "--nf", "0", "--q", "0.95",
+                      *sources])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n, nf", [("3", "5"), ("0", "0"), ("3", "-1")])
+    @pytest.mark.parametrize("source", ["--exact", "--table", "--simulate"])
+    def test_impossible_cell_is_usage_error(self, source, n, nf, tmp_path, capsys):
+        # one check before any source: never a table miss
+        code, out, err = run(capsys, "critical", "--method", "mg", "--n", n, "--nf", nf,
+                             "--q", "0.95", *source_flags(source, tmp_path, capsys),
+                             "--N", "99", "--R", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"n={n}" in err and f"n_f={nf}" in err
 
 
 class TestCombine:
@@ -321,12 +341,21 @@ class TestCombine:
                          "--alpha", "0.05", "--p", "0.5,0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("pvalues", [(), ("--p", "0.5,0.5", "--p-file", "p.txt")],
+                             ids=["none", "both"])
+    def test_requires_exactly_one_pvalue_source(self, pvalues):
+        with pytest.raises(SystemExit) as exc:
+            main(["combine", "--method", "fisher", "--nf", "0", "--alpha", "0.05", *pvalues])
+        assert exc.value.code == 2
+
 
 class TestSourceUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("combine", "--method", "mg", "--nf", "1", "--alpha", "0.05", "--p", "0.1,0.2,0.3"),
         ("critical", "--method", "mg", "--n", "3", "--nf", "1", "--q", "0.95"),
-    ], ids=lambda a: a[0])
+        # an exact law does not make a named table unread
+        ("combine", "--method", "tippett", "--nf", "0", "--alpha", "0.05", "--p", "0.1,0.2"),
+    ], ids=["combine", "critical", "combine-exact"])
     def test_missing_table_file_is_usage_error(self, argv, tmp_path):
         # like a missing --p-file: the command line names a file that is not there
         proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *argv,
@@ -535,6 +564,14 @@ class TestSeedHandling:
                          "--out", str(out))
         assert code == 0
         assert read_csv(out).seed == 999
+
+    def test_explicit_seed_overrides_bad_env_seed(self, capsys, monkeypatch):
+        # argparse parses the environment's default only when --seed is absent
+        monkeypatch.setenv("METACRIT_SEED", "abc")
+        code, out, _ = run(capsys, "critical", "--method", "fisher", "--n", "3", "--nf", "1",
+                           "--q", "0.95", "--simulate", "--N", "99", "--R", "2", "--seed", "5")
+        assert code == 0
+        assert "(simulated)" in out
 
     def test_bad_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -88,6 +88,10 @@ def test_sim_config_levels_become_a_tuple_of_floats():
     (dict(stderr=math.nan), "stderr must be finite and >= 0"),
     (dict(stderr=math.inf), "stderr must be finite and >= 0"),
     (dict(provenance="exact"), "exact cells carry no standard error"),
+    (dict(n_f=5), "got n=3, n_f=5"),
+    (dict(n=0, n_f=0), "got n=0, n_f=0"),
+    (dict(q=1.5), r"quantile levels must lie strictly inside \(0, 1\)"),
+    (dict(q=math.nan), r"quantile levels must lie strictly inside \(0, 1\)"),
 ])
 def test_table_cell_rejects_bad_fields(kw, match):
     with pytest.raises(DomainError, match=match):

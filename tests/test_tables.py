@@ -259,6 +259,11 @@ class TestCsv:
         "fisher,3,1,0.95,14.0,nan,simulated",
         "fisher,3,1,0.95,14.0,inf,simulated",
         "fisher,3,0,0.95,12.5916,,exact",  # a duplicate of line 2
+        # keys that break the cell or level rule could never be looked up
+        "fisher,3,5,0.95,14.0,0.1,simulated",
+        "fisher,0,0,0.95,12.5916,,exact",
+        "fisher,3,0,1.5,12.5916,,exact",
+        "fisher,3,0,nan,12.5916,,exact",
     ])
     def test_bad_row_names_line(self, row, tmp_path):
         path = tmp_path / "bad.csv"

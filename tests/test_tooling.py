@@ -10,12 +10,13 @@ imports nothing but numpy and the standard library: scipy and mpmath are
 test oracles only.  numpy is imported inside the functions that use arrays,
 never when a module loads, so exact and table lookups run without it, and
 no module imports ``dataclasses``, whose own imports would dominate a cold
-start.
+start.  Each input rule is raised from one place only.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -133,3 +134,28 @@ def import_time_nodes(tree):
 def test_numpy_is_imported_only_inside_functions(source):
     roots = imported_roots(import_time_nodes(ast.parse(source.read_text())))
     assert "numpy" not in roots, f"{source.name} imports numpy when it loads"
+
+
+def raised_strings(tree):
+    # (line, text) of every string literal, f-string parts included, inside
+    # the exception expression of a raise statement
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield node.lineno, part.value
+
+
+# each input rule, by a pattern its message matches: the cell rule
+# (methods.check_cell) and the level rule (special.check_levels)
+RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie"}
+
+
+@pytest.mark.parametrize("pattern", RULES.values(), ids=RULES.keys())
+def test_each_rule_is_raised_from_one_place(pattern):
+    # a second copy of a rule would drift from the first, in its message or
+    # in its exit code
+    sites = {(source.name, line) for source in SOURCES
+             for line, text in raised_strings(ast.parse(source.read_text()))
+             if re.search(pattern, text)}
+    assert len(sites) == 1, f"{pattern!r} is raised at {sorted(sites)}"
