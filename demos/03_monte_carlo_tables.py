@@ -21,7 +21,6 @@ from metacrit import (
     generate_table,
     lookup,
     read_csv,
-    render_text,
     run_replica,
     write_csv,
 )
@@ -42,11 +41,11 @@ def main():
 
     print("\nsmall table over n = 3..5 (exact cells where the law exists):")
     table = generate_table(spec, n_min=3, n_max=5, N=4999, R=50, seed=20240101)
-    print(render_text(table))
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fisher.csv"
         write_csv(table, path)
+        print(path.read_text())
         back = read_csv(path)
         print(f"CSV round-trip: {len(back.cells)} cells, lossless = {back == table}")
 

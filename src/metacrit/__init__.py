@@ -42,7 +42,6 @@ _LAZY = {
     "generate_table": "tables",
     "lookup": "tables",
     "read_csv": "tables",
-    "render_text": "tables",
     "resolve_quantiles": "tables",
     "write_csv": "tables",
 }

@@ -9,7 +9,8 @@ each of ``critical`` and ``combine`` needs, so a missing or conflicting flag
 prints its usage line and exits 2.  ``tables.resolve_quantiles`` owns the
 cell and level rules and the source order: an impossible cell or level is a
 usage error whichever source is asked, and ``combine`` reads ``--table``
-whenever it is given.
+whenever it is given.  N, R, seed and workers are checked, and
+``$METACRIT_SEED`` read, only where a simulation may run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from pathlib import Path
 from .estimation import SIMULATED, QuantileEstimate
 from .exact import UnsupportedExactError, has_exact_quantile
 from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
-from .sampling import DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED
-from .special import ConvergenceError, DomainError
+from .sampling import (DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED,
+                       check_seed)
+from .special import ConvergenceError, DomainError, check_alpha
 from .tables import (
     TableGenerationError,
     TableLookupError,
@@ -52,11 +54,21 @@ class CliError(argparse.ArgumentTypeError):
 
 def _parse_seed(text: str) -> int:
     try:
-        seed = int(text, 0)
+        return int(text, 0)
     except ValueError:
         raise CliError(f"seed {text!r} is not a decimal or 0x-hex integer")
-    if seed < 0:
-        raise CliError("seed must be nonnegative")
+
+
+def _seed(args) -> int:
+    # --seed, else $METACRIT_SEED, else the default.  Called only by a command
+    # that may simulate, so a bad variable fails no other, and names itself
+    if args.seed is not None:
+        return args.seed
+    try:
+        seed = _parse_seed(os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED))
+        check_seed(seed)
+    except (CliError, DomainError) as err:
+        raise CliError(f"${SEED_ENV_VAR}: {err}") from None
     return seed
 
 
@@ -65,8 +77,6 @@ def _parse_q_list(text: str):
         qs = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise CliError(f"bad q list {text!r}")
-    if not qs:
-        raise CliError("empty q list")
     return tuple(sorted(qs))
 
 
@@ -134,7 +144,7 @@ def _cmd_gen_table(args) -> int:
         n_max=args.n_max,
         N=args.N,
         R=args.R,
-        seed=args.seed,
+        seed=_seed(args),
         q_list=q_list,
         use_exact=args.exact,
         workers=args.workers,
@@ -147,7 +157,7 @@ def _cmd_gen_table(args) -> int:
 def _cmd_critical(args) -> int:
     spec = MethodSpec(parse_method(args.method))
     table = _read_file(args.table, read_csv) if args.table is not None else None
-    sim = (args.N, args.R, args.seed) if args.simulate else None
+    sim = (args.N, args.R, _seed(args)) if args.simulate else None
     try:
         [[est]] = resolve_quantiles(spec, [(args.n, args.nf)], (args.q,), use_exact=args.exact,
                                     table=table, sim=sim)
@@ -169,12 +179,11 @@ def _cmd_combine(args) -> int:
         spec = MethodSpec(spec.method, tail=Tail(args.tail))
     values = _parse_pvalues(args)
     n = len(values)
-    if not (0.0 < args.alpha < 1.0):
-        raise CliError("alpha must lie strictly inside (0, 1)")
+    check_alpha(args.alpha)
     statistic = evaluate_statistic(spec, values)
 
     table = _read_file(args.table, read_csv) if args.table is not None else None
-    sim = (args.N, args.R, args.seed)
+    sim = (args.N, args.R, _seed(args))
     [criticals] = resolve_quantiles(spec, [(n, args.nf)], spec.levels(args.alpha), table=table,
                                     sim=sim)
     reject = spec.rejects(statistic, [c.estimate for c in criticals])
@@ -204,12 +213,12 @@ def _cmd_validate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_FOUND
-    dump = ecdf(spec, args.n, args.nf, args.N, args.seed)
+    dump = ecdf(spec, args.n, args.nf, args.N, _seed(args))
     dist = ks_distance(dump)
     c05 = ks_critical_value(args.N, 0.05)
     c01 = ks_critical_value(args.N, 0.01)
     verdict = "consistent" if dist <= c01 else "INCONSISTENT"
-    print(f"method={spec.method.token} n={args.n} n_f={args.nf} N={args.N} seed={args.seed}")
+    print(f"method={spec.method.token} n={args.n} n_f={args.nf} N={args.N} seed={dump.seed}")
     print(f"ks_distance = {dist:.6f}  critical[5%] = {c05:.6f}  critical[1%] = {c01:.6f}")
     print(f"fit at the 1% level: {verdict}")
     return EXIT_OK
@@ -219,7 +228,7 @@ def _cmd_ecdf(args) -> int:
     from .diagnostics import ecdf, write_ecdf_csv
     spec = MethodSpec(parse_method(args.method))
     _check_writable(args.out)
-    write_ecdf_csv(ecdf(spec, args.n, args.nf, args.N, args.seed), args.out)
+    write_ecdf_csv(ecdf(spec, args.n, args.nf, args.N, _seed(args)), args.out)
     print(f"wrote {args.N} ECDF rows to {args.out}")
     return EXIT_OK
 
@@ -232,10 +241,7 @@ def _add_sim_flags(p, with_R=True):
     p.add_argument("--N", type=int, default=DEFAULT_N_SAMPLES, help="samples per replica")
     if with_R:
         p.add_argument("--R", type=int, default=DEFAULT_N_REPLICAS, help="replicas")
-    # a string default: argparse parses it through _parse_seed only when
-    # --seed is absent
-    p.add_argument("--seed", type=_parse_seed,
-                   default=os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED),
+    p.add_argument("--seed", type=_parse_seed, default=None,
                    help=f"master seed, decimal or 0x-hex (default {DEFAULT_SEED}, "
                         f"or ${SEED_ENV_VAR})")
 

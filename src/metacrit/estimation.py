@@ -21,12 +21,13 @@ import math
 import os
 
 from .methods import MethodSpec
-from .sampling import SimConfig, replica_stream, sample_cells
-from .special import DomainError, check_levels, normal_inv_cdf
+from .sampling import SimConfig, check_counts, replica_stream, sample_cells
+from .special import DomainError, check_alpha, check_levels, normal_inv_cdf
 
 __all__ = [
     "QuantileEstimate",
     "quantile_index",
+    "check_workers",
     "run_replica",
     "aggregate",
     "simulate_cells",
@@ -55,8 +56,7 @@ class QuantileEstimate(collections.namedtuple(
 
 def quantile_index(N: int, q: float) -> int:
     """1-based order-statistic index floor(q(N+1)), clamped to 1..N."""
-    if N < 1:
-        raise DomainError("sample size must be >= 1")
+    check_counts(N=N)
     check_levels(q)
     idx = int(math.floor(q * (N + 1) + _INDEX_GUARD))
     return min(max(idx, 1), N)
@@ -106,6 +106,12 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
     return QuantileEstimate(q=q, estimate=mean, stderr=stderr, replicas=R)
 
 
+def check_workers(workers: int):
+    """The one rule for a worker count: at least 1; raises DomainError."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+
+
 def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[QuantileEstimate]]:
     """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
     replicas, each drawing its stream once for all cells, aggregated per level.
@@ -115,8 +121,7 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
     ``workers`` > 1 runs contiguous blocks of replicas on min(workers, R, cores)
     processes, with the same result.  An empty list of cells gives an empty list."""
     import numpy as np
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    check_workers(workers)
     if not cfgs:
         return []
     if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
@@ -156,8 +161,7 @@ def confidence_interval(est: QuantileEstimate, alpha: float) -> tuple[float, flo
     Exact values and R = 1 estimates yield the degenerate interval
     (estimate, estimate).
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie strictly inside (0, 1)")
+    check_alpha(alpha)
     if est.stderr is None or est.stderr == 0.0:
         return (est.estimate, est.estimate)
     z = normal_inv_cdf(1.0 - alpha / 2.0)

@@ -20,8 +20,8 @@ import sys
 
 from .methods import Method, MethodSpec, check_cell
 from .special import (
-    DomainError,
     _map,
+    check_finite,
     check_levels,
     invert_cdf,
     normal_cdf,
@@ -130,8 +130,7 @@ def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
     _, cdf, _ = _law(spec, n, n_f)
 
     def point(v):
-        if not math.isfinite(v):
-            raise DomainError("x must be finite")
+        check_finite(v)
         return cdf(n, n_f, v)
 
     return _map(point, x)

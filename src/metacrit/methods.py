@@ -10,8 +10,8 @@ the identity, the binary op that folds a row's scores left to right, and the
 finish of the folded total given the row's length n, all against a
 namespace ``xp``.  On arrays ``xp`` is numpy (``_splits``, built on first
 use: importing this module loads no numpy), and ``fold`` makes one ufunc
-call per column of a (..., k) array into one new accumulator, or continues
-from ``start``, a row fold of earlier columns, when one is given.  A row's
+call per column of a (..., k) array into one new accumulator; ``reduce`` may
+continue from ``start``, a row fold of earlier columns.  A row's
 value is thus the same however its columns are split between a head and the
 rest, or its rows into blocks, though for rows of eight or more values not
 always the same in the last bits as numpy's ``np.sum``.  min-gm scores p as
@@ -206,13 +206,12 @@ def _fold(op, x, start):
     return acc
 
 
-def fold(spec: MethodSpec, x, start=None):
+def fold(spec: MethodSpec, x):
     """The statistic's fold of each row of the (..., k) array ``x`` of scored
     values: op(op(c0, c1), c2)... left to right, written into one new array of
-    the row shape (a lone column is copied).  Given ``start``, the row fold of
-    earlier columns (a fake head), it continues from it, op(op(start, c0),
-    c1)..., so a row's fold is the same however its columns are split."""
-    return _fold(_splits()[spec.method][1], x, start)
+    the row shape (a lone column is copied).  ``reduce`` continues such a
+    fold (a fake head) over later columns."""
+    return _fold(_splits()[spec.method][1], x, None)
 
 
 def reduce(spec: MethodSpec, x, n: int, start=None):

@@ -42,6 +42,8 @@ from .special import DomainError, check_levels
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_Q_LEVELS",
+    "check_counts",
+    "check_seed",
     "SimConfig",
     "replica_stream",
     "sample_pmatrix",
@@ -53,6 +55,19 @@ DEFAULT_Q_LEVELS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.9, 0.95, 0.975, 0.99, 0.995
 DEFAULT_N_SAMPLES = 4999
 DEFAULT_N_REPLICAS = 50
 _BLOCK = 16384  # values scored at a time: a score's temporaries hold up to three floats a value
+
+
+def check_counts(**counts):
+    """The one rule for the counts N and R, by name: each >= 1, else DomainError."""
+    for name, count in counts.items():
+        if count < 1:
+            raise DomainError(f"need {name} >= 1; got {name}={count}")
+
+
+def check_seed(seed: int):
+    """The one rule for a master seed: nonnegative; raises DomainError."""
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
 
 
 class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
@@ -72,10 +87,8 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
     def __new__(cls, n: int, n_f: int, N: int = DEFAULT_N_SAMPLES, R: int = DEFAULT_N_REPLICAS,
                 seed: int = DEFAULT_SEED, q_list: tuple = DEFAULT_Q_LEVELS):
         check_cell(n, n_f)
-        if N < 1 or R < 1:
-            raise DomainError("N and R must be >= 1")
-        if seed < 0:
-            raise DomainError("seed must be nonnegative")
+        check_counts(N=N, R=R)
+        check_seed(seed)
         qs = tuple(float(q) for q in q_list)
         if len(qs) == 0:
             raise DomainError("q_list must be non-empty")
@@ -91,8 +104,9 @@ def replica_stream(seed: int, replica_index: int):
     Identical (seed, replica_index) always yields the identical sequence,
     independent of thread or process scheduling.
     """
-    if seed < 0 or replica_index < 0:
-        raise DomainError("seed and replica index must be nonnegative")
+    check_seed(seed)
+    if replica_index < 0:
+        raise DomainError("replica index must be nonnegative")
     import numpy as np  # loaded by the first simulation, not on import
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(replica_index)))))
 
@@ -117,8 +131,7 @@ def _prefix(cells, N: int, stream, scores: bool):
     """Check the (n, n_f) cells, draw the longest stream prefix they read, and
     return it with the minima of its fake pairs, N·max n_f of them."""
     import numpy as np
-    if N < 1:
-        raise DomainError(f"need N >= 1; got N={N}")
+    check_counts(N=N)
     for n, n_f in cells:
         check_cell(n, n_f)
     base = _draw(stream, N * max(n + n_f for n, n_f in cells), scores)

@@ -24,6 +24,8 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "check_levels",
+    "check_alpha",
+    "check_finite",
     "normal_cdf",
     "normal_inv_cdf",
     "reg_lower_gamma",
@@ -54,6 +56,18 @@ def check_levels(*qs):
     for q in qs:  # a loop, not all(): no generator on the per-cell path
         if not 0.0 < q < 1.0:
             raise DomainError("quantile levels must lie strictly inside (0, 1)")
+
+
+def check_alpha(alpha):
+    """The one rule for a test's level: 0 < alpha < 1; raises DomainError."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie strictly inside (0, 1)")
+
+
+def check_finite(x):
+    """The one rule for a CDF's argument: finite; raises DomainError."""
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
 
 
 def _map(f, x):
@@ -115,8 +129,7 @@ def _series_side(a, x):
     # found by the continued fraction, for a > 0 and finite x >= 0
     if not (0.0 < a < math.inf):
         raise DomainError("shape parameter must be positive")
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
+    check_finite(x)
     if x < 0.0:
         raise DomainError("x must be nonnegative")
     return x < a + 1.0
@@ -147,8 +160,7 @@ _SQRT2 = math.sqrt(2.0)
 def normal_cdf(x):
     """Standard normal CDF at a finite x, from ``math.erfc`` so that the
     lower tail keeps full relative accuracy."""
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
+    check_finite(x)
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
@@ -161,8 +173,7 @@ def _probit():
     inv_cdf = NormalDist().inv_cdf
 
     def point(v):
-        if not 0.0 < v < 1.0:
-            raise DomainError("p must lie strictly inside (0, 1)")
+        check_levels(v)  # Phi^-1(p) is the quantile at level p
         return inv_cdf(v)
 
     return point

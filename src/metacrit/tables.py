@@ -14,7 +14,7 @@ import collections
 import math
 
 from . import __version__
-from .estimation import EXACT, SIMULATED, QuantileEstimate, simulate_cells
+from .estimation import EXACT, SIMULATED, QuantileEstimate, check_workers, simulate_cells
 from .exact import UnsupportedExactError, exact_quantile, has_exact_quantile
 from .methods import Method, MethodSpec, check_cell, parse_method
 from .sampling import (
@@ -36,7 +36,6 @@ __all__ = [
     "read_csv",
     "lookup",
     "resolve_quantiles",
-    "render_text",
 ]
 
 _HEADER = "method,n,n_f,q,estimate,stderr,provenance"
@@ -133,8 +132,7 @@ def default_grid(n_min: int = 3, n_max: int = 26):
     never past n."""
     if n_min > n_max:
         raise DomainError("need n_min <= n_max")
-    if n_min < 1:
-        raise DomainError("sample sizes start at 1")
+    check_cell(n_min, 0)
     pairs = []
     for n in range(n_min, n_max + 1):
         cap = min(n, max(3, n // 3))
@@ -217,8 +215,7 @@ def generate_table(
     grid = default_grid(n_min, n_max)
     # validate N, R, seed, the q grid and the worker count before any cell
     SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    check_workers(workers)
     try:
         resolved = resolve_quantiles(spec, grid, tuple(q_list), use_exact=use_exact,
                                      sim=(N, R, seed), workers=workers)
@@ -312,31 +309,3 @@ def lookup(table: CriticalValueTable, method: Method, n: int, n_f: int, q: float
         f"of {', '.join(map(repr, qs))}"
     )
 
-
-def render_text(table: CriticalValueTable) -> str:
-    """Plain-text rendering in the published layout, `estimate (stderr)` per
-    cell, for visual diffing."""
-    out = []
-    methods = sorted({k[0] for k in table.cells}, key=lambda m: m.token)
-    for method in methods:
-        cells = [c for c in table.sorted_cells() if c.method is method]
-        qs = sorted({c.q for c in cells})
-        out.append(f"method={method.token} seed={table.seed} N={table.N} R={table.R}")
-        out.append("n n_f " + " ".join(f"{q:g}" for q in qs))
-        by_row = {}
-        for c in cells:
-            by_row.setdefault((c.n, c.n_f), {})[c.q] = c
-        for (n, n_f) in sorted(by_row):
-            row = by_row[(n, n_f)]
-            rendered = []
-            for q in qs:
-                c = row.get(q)
-                if c is None:
-                    rendered.append("-")
-                elif c.stderr is None:
-                    rendered.append(f"{c.estimate:g}")
-                else:
-                    rendered.append(f"{c.estimate:g} ({c.stderr:g})")
-            out.append(f"{n} {n_f} " + " ".join(rendered))
-        out.append("")
-    return "\n".join(out)

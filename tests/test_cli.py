@@ -445,6 +445,37 @@ class TestSourceUsageErrors:
         assert "error:" in err
 
 
+# one command of each kind that may simulate; {out} is a file in tmp_path
+SIM_ARGV = {
+    "gen-table": ("gen-table", "--method", "mg", "--n-max", "3", "--out", "{out}"),
+    "critical": ("critical", "--method", "mg", "--n", "3", "--nf", "1", "--q", "0.95",
+                 "--simulate"),
+    "combine": ("combine", "--method", "mg", "--nf", "1", "--alpha", "0.05",
+                "--p", "0.2,0.7,0.4"),
+    "validate": ("validate", "--method", "tippett", "--n", "3", "--nf", "0"),
+    "ecdf": ("ecdf", "--method", "tippett", "--n", "3", "--nf", "0", "--out", "{out}"),
+}
+BAD_SIM_VALUES = (
+    [(command, flag, value) for command in SIM_ARGV
+     for flag, value in (("--N", "0"), ("--R", "0"), ("--seed", "-1"))
+     if flag != "--R" or command not in ("validate", "ecdf")]  # these two take no --R
+    + [("gen-table", "--workers", "0"), ("gen-table", "--q-list", ","),
+       ("gen-table", "--n-min", "0"), ("combine", "--alpha", "1.5")]
+)
+
+
+class TestSimulationParameters:
+    @pytest.mark.parametrize("command, flag, value", BAD_SIM_VALUES,
+                             ids=[" ".join(case) for case in BAD_SIM_VALUES])
+    def test_bad_value_is_one_line_usage_error(self, command, flag, value, tmp_path, capsys):
+        # each rule raises DomainError from its one owner: exit 2, one line
+        argv = [arg.format(out=tmp_path / "x.csv") for arg in SIM_ARGV[command]]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestValidateAndEcdf:
     def test_validate_tippett(self, capsys):
         code, out, _ = run(capsys, "validate", "--method", "tippett", "--n", "5",
@@ -582,13 +613,24 @@ class TestSeedHandling:
 
     @pytest.mark.parametrize("value", ["abc", "-3"])
     def test_bad_env_seed_is_usage_error(self, value, monkeypatch):
+        # one line that names the variable, from each command that may simulate
         monkeypatch.setenv("METACRIT_SEED", value)
-        proc = subprocess.run([sys.executable, "-m", "metacrit.cli", "critical", "--method",
-                               "fisher", "--n", "3", "--nf", "1", "--q", "0.95", "--simulate"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        for command in ("critical", "combine"):
+            proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *SIM_ARGV[command]],
+                                  capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == (2, ""), command
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("error: ") and "METACRIT_SEED" in line, command
+
+    @pytest.mark.parametrize("env, flags", [("abc", ()), ("", ("--seed", "-1"))],
+                             ids=["bad-env", "negative-flag"])
+    def test_seed_is_ignored_where_nothing_simulates(self, env, flags, capsys, monkeypatch):
+        # an exact answer reads no seed: neither the variable nor --seed is checked
+        monkeypatch.setenv("METACRIT_SEED", env)
+        code, out, err = run(capsys, "critical", "--method", "fisher", "--n", "3", "--nf", "0",
+                             "--q", "0.95", "--exact", *flags)
+        assert (code, err) == (0, "")
+        assert out.endswith("(exact)\n")
 
 
 class TestEntryPoint:

@@ -24,7 +24,6 @@ from metacrit.tables import (
     generate_table,
     lookup,
     read_csv,
-    render_text,
     resolve_quantiles,
     write_csv,
 )
@@ -449,13 +448,3 @@ class TestGenerationFailures:
             generate_table(MethodSpec(Method.MUDHOLKAR_GEORGE), n_min=3, n_max=3,
                            N=50, R=2, seed=1)
 
-
-class TestRenderText:
-    def test_contains_rows_and_stderr(self):
-        table = generate_table(MethodSpec(Method.GEOMETRIC_MEAN), n_min=3, n_max=3,
-                               N=199, R=3, seed=13)
-        text = render_text(table)
-        assert "method=gm" in text
-        assert "(" in text  # simulated cells rendered as estimate (stderr)
-        first_exact = exact_quantile(MethodSpec(Method.GEOMETRIC_MEAN), 3, 0, 0.005)
-        assert f"{float(f'{first_exact:.6g}'):g}" in text

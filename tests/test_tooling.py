@@ -146,9 +146,15 @@ def raised_strings(tree):
                     yield node.lineno, part.value
 
 
-# each input rule, by a pattern its message matches: the cell rule
-# (methods.check_cell) and the level rule (special.check_levels)
-RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie"}
+# each input rule, by a pattern its message, and the drifted copies it
+# replaced, match: the cell rule (methods.check_cell), the level rule
+# (special.check_levels), N and R (sampling.check_counts), the seed
+# (sampling.check_seed), the worker count (estimation.check_workers), a
+# test's alpha (special.check_alpha) and a CDF's finite argument
+# (special.check_finite)
+RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie",
+         "N/R": r">= 1; got|N and R|sample size", "seed": r"seed.*nonnegative",
+         "workers": r"workers must", "alpha": r"alpha must", "finite": r"^x must be finite"}
 
 
 @pytest.mark.parametrize("pattern", RULES.values(), ids=RULES.keys())
