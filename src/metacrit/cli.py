@@ -7,9 +7,9 @@ error, 3 not-found / unsupported combination.
 argparse owns the flag shapes: types, required flags, and the one source
 each of ``critical`` and ``combine`` needs, so a missing or conflicting flag
 prints its usage line and exits 2.  ``tables.resolve_quantiles`` owns the
-cell and level rules and the source order: an impossible cell or level is a
-usage error whichever source is asked, and ``combine`` reads ``--table``
-whenever it is given.  N, R, seed and workers are checked, and
+cell and level-list rules and the source order: an impossible cell or level
+list is a usage error whichever source is asked, and ``combine`` reads
+``--table`` whenever it is given.  N, R, seed and workers are checked, and
 ``$METACRIT_SEED`` read, only where a simulation may run.
 """
 
@@ -136,7 +136,7 @@ def _fmt_critical(est: QuantileEstimate) -> str:
 
 def _cmd_gen_table(args) -> int:
     spec = MethodSpec(parse_method(args.method))
-    q_list = _parse_q_list(args.q_list) if args.q_list else DEFAULT_Q_LEVELS
+    q_list = DEFAULT_Q_LEVELS if args.q_list is None else _parse_q_list(args.q_list)
     _check_writable(args.out)
     table = generate_table(
         spec,

@@ -90,11 +90,7 @@ class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):
         check_counts(N=N, R=R)
         check_seed(seed)
         qs = tuple(float(q) for q in q_list)
-        if len(qs) == 0:
-            raise DomainError("q_list must be non-empty")
         check_levels(*qs)
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise DomainError("quantile levels must be strictly increasing")
         return tuple.__new__(cls, (n, n_f, N, R, seed, qs))
 
 

@@ -51,11 +51,18 @@ class ConvergenceError(RuntimeError):
 
 
 def check_levels(*qs):
-    """The one rule for quantile levels: each lies strictly inside (0, 1), so
-    nan never does; raises DomainError otherwise."""
+    """The one rule for a list of quantile levels, one level included: it is
+    non-empty, each level lies strictly inside (0, 1), so nan never does,
+    and they strictly increase; raises DomainError otherwise."""
+    if not qs:
+        raise DomainError("q_list must be non-empty")
+    last = 0.0
     for q in qs:  # a loop, not all(): no generator on the per-cell path
         if not 0.0 < q < 1.0:
             raise DomainError("quantile levels must lie strictly inside (0, 1)")
+        if q <= last:
+            raise DomainError("quantile levels must be strictly increasing")
+        last = q
 
 
 def check_alpha(alpha):

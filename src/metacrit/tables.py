@@ -23,6 +23,8 @@ from .sampling import (
     DEFAULT_Q_LEVELS,
     DEFAULT_SEED,
     SimConfig,
+    check_counts,
+    check_seed,
 )
 from .special import ConvergenceError, DomainError, check_levels
 
@@ -40,7 +42,7 @@ __all__ = [
 
 _HEADER = "method,n,n_f,q,estimate,stderr,provenance"
 TABLE = "table"  # provenance of a critical value read from a table file
-# metadata keys read back from a table file, each with its parser
+# the metadata lines of a table file, in the order written, each with its parser
 _META = {"seed": lambda v: int(v, 0), "N": int, "R": int, "version": str, "numpy": str}
 
 
@@ -74,27 +76,9 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.6g}"
 
 
-class TableCell(collections.namedtuple(
-        "TableCell", "method n n_f q estimate stderr provenance")):
-    __slots__ = ()
-
-    def __new__(cls, method: Method, n: int, n_f: int, q: float, estimate: float,
-                stderr: float | None, provenance: str):
-        # a key breaking the cell or level rule could never be looked up; a
-        # nan or infinite critical value would decide every comparison one
-        # way; simulated cells may lack a stderr only when R = 1, and exact
-        # cells never carry one
-        check_cell(n, n_f)
-        check_levels(q)
-        if provenance not in (EXACT, SIMULATED):
-            raise DomainError(f"unknown provenance {provenance!r}")
-        if not math.isfinite(estimate):
-            raise DomainError(f"estimate must be finite, got {estimate!r}")
-        if stderr is not None and not (math.isfinite(stderr) and stderr >= 0.0):
-            raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
-        if provenance == EXACT and stderr is not None:
-            raise DomainError("exact cells carry no standard error")
-        return tuple.__new__(cls, (method, n, n_f, q, estimate, stderr, provenance))
+# one critical value by its key, a plain record: ``generate_table`` builds
+# cells from a checked request, and ``read_csv`` checks each row it reads
+TableCell = collections.namedtuple("TableCell", "method n n_f q estimate stderr provenance")
 
 
 class CriticalValueTable:
@@ -121,11 +105,6 @@ class CriticalValueTable:
             raise DomainError(f"duplicate table key ({cell.method.token}, n={cell.n}, "
                               f"n_f={cell.n_f}, q={cell.q!r})")
 
-    def sorted_cells(self):
-        return sorted(
-            self.cells.values(), key=lambda c: (c.method.token, c.n, c.n_f, c.q)
-        )
-
 
 def default_grid(n_min: int = 3, n_max: int = 26):
     """(n, n_f) pairs of the published grid: n_f runs to max(3, floor(n/3)),
@@ -147,15 +126,19 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     ``cells``: from the exact law (unless ``use_exact`` is False), else the
     cells of ``table``, else one simulation with ``sim = (N, R, seed)`` of every
     level left in every cell, its replicas spread over ``workers`` processes.
-    A table miss re-raises its TableLookupError when ``sim`` is None; with no
-    law and no source this raises UnsupportedExactError, and a level outside
-    (0, 1), nan included, or a cell breaking ``check_cell`` raises DomainError
-    whatever the source."""
-    check_levels(*q_list)
+    The whole request is checked before any source is consulted: a bad cell,
+    level list, N, R or seed, or fewer than 1 worker, raises DomainError
+    whatever the source.  A table miss re-raises its TableLookupError when
+    ``sim`` is None; with no law and no source this raises
+    UnsupportedExactError."""
     for n, n_f in cells:
         check_cell(n, n_f)
-    if sim is not None:  # reject a bad N, R or seed before any source is consulted
-        SimConfig(1, 0, *sim)
+    check_levels(*q_list)
+    if sim is not None:
+        N, R, seed = sim
+        check_counts(N=N, R=R)
+        check_seed(seed)
+    check_workers(workers)
     found = [{} for _ in cells]
     for (n, n_f), got in zip(cells, found):
         if use_exact and has_exact_quantile(spec, n, n_f):
@@ -187,9 +170,9 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     return [[got[q] for q in q_list] for got in found]
 
 
-# numeric, domain and dead-worker failures; anything else is a bug and propagates
-_CELL_FAILURES = (DomainError, ConvergenceError, UnsupportedExactError, ArithmeticError,
-                  MemoryError, ChildProcessError)
+# numeric and dead-worker failures; a refused request raises its DomainError
+# before any cell, and anything else is a bug: both propagate
+_CELL_FAILURES = (ConvergenceError, ArithmeticError, MemoryError, ChildProcessError)
 
 
 def generate_table(
@@ -213,9 +196,6 @@ def generate_table(
     affects wall time.  A failure is reported for every cell of the grid.
     """
     grid = default_grid(n_min, n_max)
-    # validate N, R, seed, the q grid and the worker count before any cell
-    SimConfig(n=1, n_f=0, N=N, R=R, seed=seed, q_list=q_list)
-    check_workers(workers)
     try:
         resolved = resolve_quantiles(spec, grid, tuple(q_list), use_exact=use_exact,
                                      sim=(N, R, seed), workers=workers)
@@ -233,13 +213,10 @@ def generate_table(
 def write_csv(table: CriticalValueTable, path):
     """Serialize with `#` metadata comments and canonical float formatting."""
     with open(path, "w", newline="") as f:
-        f.write(f"# seed={table.seed}\n")
-        f.write(f"# N={table.N}\n")
-        f.write(f"# R={table.R}\n")
-        f.write(f"# version={table.version}\n")
-        f.write(f"# numpy={table.numpy}\n")
+        for key in _META:
+            f.write(f"# {key}={getattr(table, key)}\n")
         f.write(_HEADER + "\n")
-        for c in table.sorted_cells():
+        for c in sorted(table.cells.values(), key=lambda c: (c.method.token, c.n, c.n_f, c.q)):
             f.write(
                 f"{c.method.token},{c.n},{c.n_f},{c.q!r},"
                 f"{_fmt(c.estimate)},{_fmt(c.stderr)},{c.provenance}\n"
@@ -247,7 +224,8 @@ def write_csv(table: CriticalValueTable, path):
 
 
 def read_csv(path) -> CriticalValueTable:
-    """Parse a table written by ``write_csv``; the round trip is lossless."""
+    """Parse and check every row of a table written by ``write_csv``; the
+    round trip is lossless, and a bad row raises TableParseError."""
     table = CriticalValueTable(version="", numpy="")
     methods = {}  # each distinct method token is parsed once per file
     with open(path) as f:
@@ -275,8 +253,23 @@ def read_csv(path) -> CriticalValueTable:
                 method = methods.get(token)
                 if method is None:
                     method = methods[token] = parse_method(token)
-                table.add(TableCell(method, int(n), int(n_f), float(q), float(estimate),
-                                    float(stderr) if stderr else None, provenance))
+                n, n_f, q, estimate = int(n), int(n_f), float(q), float(estimate)
+                stderr = float(stderr) if stderr else None
+                # a key breaking the cell or level rule could never be looked up;
+                # a nan or infinite critical value would decide every comparison
+                # one way; only R = 1 leaves a simulated cell without a stderr,
+                # and exact cells never carry one
+                check_cell(n, n_f)
+                check_levels(q)
+                if provenance not in (EXACT, SIMULATED):
+                    raise DomainError(f"unknown provenance {provenance!r}")
+                if not math.isfinite(estimate):
+                    raise DomainError(f"estimate must be finite, got {estimate!r}")
+                if stderr is not None and not (math.isfinite(stderr) and stderr >= 0.0):
+                    raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
+                if provenance == EXACT and stderr is not None:
+                    raise DomainError("exact cells carry no standard error")
+                table.add(TableCell(method, n, n_f, q, estimate, stderr, provenance))
             except (ValueError, DomainError) as err:
                 raise TableParseError(f"line {lineno}: {err}") from err
     return table

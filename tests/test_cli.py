@@ -460,7 +460,8 @@ BAD_SIM_VALUES = (
      for flag, value in (("--N", "0"), ("--R", "0"), ("--seed", "-1"))
      if flag != "--R" or command not in ("validate", "ecdf")]  # these two take no --R
     + [("gen-table", "--workers", "0"), ("gen-table", "--q-list", ","),
-       ("gen-table", "--n-min", "0"), ("combine", "--alpha", "1.5")]
+       ("gen-table", "--q-list", ""), ("gen-table", "--n-min", "0"),
+       ("combine", "--alpha", "1.5")]
 )
 
 

@@ -3,11 +3,9 @@
 Each record is a ``collections.namedtuple`` subclass, so it loads without
 ``dataclasses``; these tests pin what callers rely on: read-only fields,
 construction by keyword or position, a ``Name(field=...)`` repr, equality
-and hashing by value, pickling (records cross to worker processes), and the
-checks each constructor makes.
+and hashing by value, and pickling (records cross to worker processes).
 """
 
-import math
 import pickle
 
 import pytest
@@ -16,7 +14,6 @@ from metacrit.diagnostics import EcdfDump
 from metacrit.estimation import QuantileEstimate
 from metacrit.methods import DEFAULT_TAILS, Method, MethodSpec, Tail
 from metacrit.sampling import SimConfig
-from metacrit.special import DomainError
 from metacrit.tables import CriticalValueTable, TableCell
 
 SPEC = MethodSpec(Method.FISHER)
@@ -78,24 +75,6 @@ def test_sim_config_levels_become_a_tuple_of_floats():
     cfg = SimConfig(3, 0, q_list=[0.25, 0.75])
     assert cfg.q_list == (0.25, 0.75)
     assert type(cfg.q_list) is tuple and all(type(q) is float for q in cfg.q_list)
-
-
-@pytest.mark.parametrize("kw, match", [
-    (dict(provenance="table"), "unknown provenance"),
-    (dict(estimate=math.nan), "estimate must be finite"),
-    (dict(estimate=-math.inf), "estimate must be finite"),
-    (dict(stderr=-0.1), "stderr must be finite and >= 0"),
-    (dict(stderr=math.nan), "stderr must be finite and >= 0"),
-    (dict(stderr=math.inf), "stderr must be finite and >= 0"),
-    (dict(provenance="exact"), "exact cells carry no standard error"),
-    (dict(n_f=5), "got n=3, n_f=5"),
-    (dict(n=0, n_f=0), "got n=0, n_f=0"),
-    (dict(q=1.5), r"quantile levels must lie strictly inside \(0, 1\)"),
-    (dict(q=math.nan), r"quantile levels must lie strictly inside \(0, 1\)"),
-])
-def test_table_cell_rejects_bad_fields(kw, match):
-    with pytest.raises(DomainError, match=match):
-        TableCell(**{**RECORDS[TableCell], **kw})
 
 
 def test_table_equality_covers_cells_and_metadata():

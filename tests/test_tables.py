@@ -250,25 +250,31 @@ class TestCsv:
         with pytest.raises(TableParseError, match="line 2: bad metadata"):
             read_csv(path)
 
-    @pytest.mark.parametrize("row", [
-        "fisher,3,0,0.95,nan,,exact",
-        "fisher,3,0,0.95,inf,,exact",
-        "fisher,3,1,0.95,-inf,0.1,simulated",
-        "fisher,3,1,0.95,14.0,-0.1,simulated",
-        "fisher,3,1,0.95,14.0,nan,simulated",
-        "fisher,3,1,0.95,14.0,inf,simulated",
-        "fisher,3,0,0.95,12.5916,,exact",  # a duplicate of line 2
+    # each bad row with the message read_csv gives for it
+    BAD_ROWS = [
+        ("fisher,3,1,0.95,14.0,0.1,table", "unknown provenance 'table'"),
+        ("fisher,3,0,0.95,nan,,exact", "estimate must be finite, got nan"),
+        ("fisher,3,0,0.95,inf,,exact", "estimate must be finite, got inf"),
+        ("fisher,3,1,0.95,-inf,0.1,simulated", "estimate must be finite, got -inf"),
+        ("fisher,3,1,0.95,14.0,-0.1,simulated", "stderr must be finite and >= 0, got -0.1"),
+        ("fisher,3,1,0.95,14.0,nan,simulated", "stderr must be finite and >= 0, got nan"),
+        ("fisher,3,1,0.95,14.0,inf,simulated", "stderr must be finite and >= 0, got inf"),
+        ("fisher,3,1,0.95,14.0,0.1,exact", "exact cells carry no standard error"),
+        ("fisher,3,0,0.95,12.5916,,exact", r"duplicate table key \(fisher, n=3"),  # line 2
         # keys that break the cell or level rule could never be looked up
-        "fisher,3,5,0.95,14.0,0.1,simulated",
-        "fisher,0,0,0.95,12.5916,,exact",
-        "fisher,3,0,1.5,12.5916,,exact",
-        "fisher,3,0,nan,12.5916,,exact",
-    ])
-    def test_bad_row_names_line(self, row, tmp_path):
+        ("fisher,3,5,0.95,14.0,0.1,simulated", "need n >= 1 and 0 <= n_f <= n; got n=3, n_f=5"),
+        ("fisher,0,0,0.95,12.5916,,exact", "need n >= 1 and 0 <= n_f <= n; got n=0, n_f=0"),
+        ("fisher,3,0,1.5,12.5916,,exact", r"quantile levels must lie strictly inside \(0, 1\)"),
+        ("fisher,3,0,nan,12.5916,,exact", r"quantile levels must lie strictly inside \(0, 1\)"),
+    ]
+
+    @pytest.mark.parametrize("row, match", BAD_ROWS, ids=[row for row, _ in BAD_ROWS])
+    def test_bad_row_names_line(self, row, match, tmp_path):
+        # read_csv is the one way a table comes in, so it checks every row
         path = tmp_path / "bad.csv"
         path.write_text(f"method,n,n_f,q,estimate,stderr,provenance\n"
                         f"fisher,3,0,0.95,12.5916,,exact\n{row}\n")
-        with pytest.raises(TableParseError, match="line 3: "):
+        with pytest.raises(TableParseError, match=f"^line 3: {match}"):
             read_csv(path)
 
     def test_full_grid_row_count(self):
@@ -349,6 +355,27 @@ class TestResolveQuantiles:
                 N, R, seed = self.SIM
                 cfg = SimConfig(n=3, n_f=n_f, N=N, R=R, seed=seed, q_list=(est.q,))
                 assert est == simulate_quantiles(self.FISHER, cfg)[0]
+
+    @pytest.mark.parametrize("q_list, workers, match", [
+        ((), 1, "q_list must be non-empty"),
+        ((0.5, 0.5), 1, "quantile levels must be strictly increasing"),
+        ((0.9, 0.1), 1, "quantile levels must be strictly increasing"),
+        ((0.95,), 0, "workers must be >= 1"),
+    ], ids=["no-level", "repeated-level", "decreasing-levels", "no-worker"])
+    @pytest.mark.parametrize("source", ["exact", "table", "simulation"])
+    def test_bad_request_refused_before_any_source(self, monkeypatch, source, q_list,
+                                                   workers, match):
+        # the request is checked whole, the same way whichever source would answer
+        def consulted(*args, **kwargs):
+            raise AssertionError("a source was consulted")
+
+        for name in ("exact_quantile", "lookup", "simulate_cells"):
+            monkeypatch.setattr(tables, name, consulted)
+        spec, n_f, kw = {"exact": (MethodSpec(Method.TIPPETT), 0, {}),
+                         "table": (self.FISHER, 1, dict(table=self.make_table())),
+                         "simulation": (self.FISHER, 1, dict(sim=self.SIM))}[source]
+        with pytest.raises(DomainError, match=match):
+            resolve_quantiles(spec, [(3, n_f)], q_list, workers=workers, **kw)
 
 
 class TestSharedDraws:

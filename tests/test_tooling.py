@@ -147,14 +147,20 @@ def raised_strings(tree):
 
 
 # each input rule, by a pattern its message, and the drifted copies it
-# replaced, match: the cell rule (methods.check_cell), the level rule
-# (special.check_levels), N and R (sampling.check_counts), the seed
-# (sampling.check_seed), the worker count (estimation.check_workers), a
-# test's alpha (special.check_alpha) and a CDF's finite argument
-# (special.check_finite)
+# replaced, match: the cell rule (methods.check_cell), the three parts of
+# the level-list rule (special.check_levels), N and R
+# (sampling.check_counts), the seed (sampling.check_seed), the worker count
+# (estimation.check_workers), a test's alpha (special.check_alpha), a CDF's
+# finite argument (special.check_finite), and the four rules a table row
+# keeps beyond its key's (tables.read_csv).  An empty p-value vector is a
+# rule of its own, so "non-empty" is matched on the level list's name
 RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie",
+         "levels non-empty": r"q_list must be non-empty",
+         "levels increasing": r"strictly increasing",
          "N/R": r">= 1; got|N and R|sample size", "seed": r"seed.*nonnegative",
-         "workers": r"workers must", "alpha": r"alpha must", "finite": r"^x must be finite"}
+         "workers": r"workers must", "alpha": r"alpha must", "finite": r"^x must be finite",
+         "provenance": r"unknown provenance", "estimate": r"estimate must be finite",
+         "stderr": r"stderr must be finite", "exact stderr": r"carry no standard error"}
 
 
 @pytest.mark.parametrize("pattern", RULES.values(), ids=RULES.keys())
