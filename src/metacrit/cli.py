@@ -9,8 +9,8 @@ each of ``critical`` and ``combine`` needs, so a missing or conflicting flag
 prints its usage line and exits 2.  ``tables.resolve_quantiles`` owns the
 cell and level-list rules and the source order: an impossible cell or level
 list is a usage error whichever source is asked, and ``combine`` reads
-``--table`` whenever it is given.  N, R, seed and workers are checked, and
-``$METACRIT_SEED`` read, only where a simulation may run.
+``--table`` whenever it is given.  N, R, seed and workers are checked only
+where a simulation may run.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from pathlib import Path
 from .estimation import SIMULATED, QuantileEstimate
 from .exact import UnsupportedExactError, has_exact_quantile
 from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
-from .sampling import (DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED,
-                       check_seed)
+from .sampling import DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED
 from .special import ConvergenceError, DomainError, check_alpha
 from .tables import (
     TableGenerationError,
@@ -44,8 +43,6 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 
-SEED_ENV_VAR = "METACRIT_SEED"
-
 
 class CliError(argparse.ArgumentTypeError):
     """A usage error.  Raised by a flag's type, argparse prints it as its own
@@ -53,23 +50,11 @@ class CliError(argparse.ArgumentTypeError):
 
 
 def _parse_seed(text: str) -> int:
+    # a leading 0 is still decimal, and 0b or 0o is no seed syntax
     try:
-        return int(text, 0)
+        return int(text, 16 if "0x" in text.lower() else 10)
     except ValueError:
         raise CliError(f"seed {text!r} is not a decimal or 0x-hex integer")
-
-
-def _seed(args) -> int:
-    # --seed, else $METACRIT_SEED, else the default.  Called only by a command
-    # that may simulate, so a bad variable fails no other, and names itself
-    if args.seed is not None:
-        return args.seed
-    try:
-        seed = _parse_seed(os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED))
-        check_seed(seed)
-    except (CliError, DomainError) as err:
-        raise CliError(f"${SEED_ENV_VAR}: {err}") from None
-    return seed
 
 
 def _parse_q_list(text: str):
@@ -144,7 +129,7 @@ def _cmd_gen_table(args) -> int:
         n_max=args.n_max,
         N=args.N,
         R=args.R,
-        seed=_seed(args),
+        seed=args.seed,
         q_list=q_list,
         use_exact=args.exact,
         workers=args.workers,
@@ -157,7 +142,7 @@ def _cmd_gen_table(args) -> int:
 def _cmd_critical(args) -> int:
     spec = MethodSpec(parse_method(args.method))
     table = _read_file(args.table, read_csv) if args.table is not None else None
-    sim = (args.N, args.R, _seed(args)) if args.simulate else None
+    sim = (args.N, args.R, args.seed) if args.simulate else None
     try:
         [[est]] = resolve_quantiles(spec, [(args.n, args.nf)], (args.q,), use_exact=args.exact,
                                     table=table, sim=sim)
@@ -183,7 +168,7 @@ def _cmd_combine(args) -> int:
     statistic = evaluate_statistic(spec, values)
 
     table = _read_file(args.table, read_csv) if args.table is not None else None
-    sim = (args.N, args.R, _seed(args))
+    sim = (args.N, args.R, args.seed)
     [criticals] = resolve_quantiles(spec, [(n, args.nf)], spec.levels(args.alpha), table=table,
                                     sim=sim)
     reject = spec.rejects(statistic, [c.estimate for c in criticals])
@@ -213,7 +198,7 @@ def _cmd_validate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_FOUND
-    dump = ecdf(spec, args.n, args.nf, args.N, _seed(args))
+    dump = ecdf(spec, args.n, args.nf, args.N, args.seed)
     dist = ks_distance(dump)
     c05 = ks_critical_value(args.N, 0.05)
     c01 = ks_critical_value(args.N, 0.01)
@@ -228,7 +213,7 @@ def _cmd_ecdf(args) -> int:
     from .diagnostics import ecdf, write_ecdf_csv
     spec = MethodSpec(parse_method(args.method))
     _check_writable(args.out)
-    write_ecdf_csv(ecdf(spec, args.n, args.nf, args.N, _seed(args)), args.out)
+    write_ecdf_csv(ecdf(spec, args.n, args.nf, args.N, args.seed), args.out)
     print(f"wrote {args.N} ECDF rows to {args.out}")
     return EXIT_OK
 
@@ -241,9 +226,8 @@ def _add_sim_flags(p, with_R=True):
     p.add_argument("--N", type=int, default=DEFAULT_N_SAMPLES, help="samples per replica")
     if with_R:
         p.add_argument("--R", type=int, default=DEFAULT_N_REPLICAS, help="replicas")
-    p.add_argument("--seed", type=_parse_seed, default=None,
-                   help=f"master seed, decimal or 0x-hex (default {DEFAULT_SEED}, "
-                        f"or ${SEED_ENV_VAR})")
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
+                   help="master seed, decimal or 0x-hex (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,8 +34,6 @@ __all__ = [
     "invert_cdf",
 ]
 
-_MAX_SERIES_ITER = 500
-_MAX_CF_ITER = 500
 # room for bisection alone to reach any positive double: 1074 halvings take
 # a unit bracket down to the smallest subnormal
 _MAX_INVERT_ITER = 1100
@@ -93,13 +91,19 @@ def _map(f, x):
 # regularized incomplete gamma
 # ---------------------------------------------------------------------------
 
+def _max_terms(a):
+    # near x = a the series' and the continued fraction's terms fall like
+    # exp(-k^2 / 2a), so about 8.5 sqrt(a) terms are needed
+    return 500 + int(10.0 * math.sqrt(a))
+
+
 def _lower_gamma_series(a, x):
     # P(a,x) = x^a e^-x / Gamma(a+1) * sum_k x^k / ((a+1)...(a+k)), x < a+1
     if x <= 0.0:
         return 0.0
     total = term = 1.0 / a
     denom = a
-    for _ in range(_MAX_SERIES_ITER):
+    for _ in range(_max_terms(a)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -114,7 +118,7 @@ def _upper_gamma_cf(a, x):
     c = 1.0 / _TINY
     d = 1.0 / (b if abs(b) > _TINY else _TINY)
     h = d
-    for i in range(1, _MAX_CF_ITER + 1):
+    for i in range(1, _max_terms(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

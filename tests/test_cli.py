@@ -331,6 +331,16 @@ class TestCombine:
         assert code == 0
         assert "decision: reject" in out
 
+    def test_fisher_exact_at_twenty_thousand_pvalues(self, tmp_path, capsys):
+        # the exact law holds at any n: a large n is no numeric failure
+        pfile = tmp_path / "pvals.txt"
+        pfile.write_text("".join(f"{(i + 0.5) / 20000!r}\n" for i in range(20000)))
+        code, out, err = run(capsys, "combine", "--method", "fisher", "--nf", "0",
+                             "--alpha", "0.05", "--p-file", str(pfile))
+        assert (code, err) == (0, "")
+        assert "(exact)" in out
+        assert "decision: retain" in out
+
     def test_bad_pvalue_rejected(self, capsys):
         code, _, err = run(capsys, "combine", "--method", "fisher", "--nf", "0",
                            "--alpha", "0.05", "--p", "0.5,1.0")
@@ -581,53 +591,36 @@ class TestMemoryFailure:
 
 class TestSeedHandling:
     def test_hex_seed(self, tmp_path, capsys):
+        # 0x-hex, or decimal even with a leading zero
         out = tmp_path / "h.csv"
-        code, _, _ = run(capsys, "gen-table", "--method", "harmonic",
-                         "--n-min", "3", "--n-max", "3", "--N", "99", "--R", "2",
-                         "--seed", "0x4D2", "--out", str(out))
-        assert code == 0
-        assert read_csv(out).seed == 1234
+        for text, seed in (("0x4D2", 1234), ("010", 10)):
+            code, _, _ = run(capsys, "gen-table", "--method", "harmonic",
+                             "--n-min", "3", "--n-max", "3", "--N", "99", "--R", "2",
+                             "--seed", text, "--out", str(out))
+            assert code == 0
+            assert read_csv(out).seed == seed
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
+    def test_bad_seed_is_usage_error(self, capsys):
+        # a binary or octal prefix is no seed syntax
+        for text in ("xyz", "0b101"):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", "--method", "tippett", "--n", "3", "--nf", "0",
+                      "--seed", text])
+            assert exc.value.code == 2, text
+
+    def test_seed_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # the seed comes from --seed or its default, never the environment
         monkeypatch.setenv("METACRIT_SEED", "999")
-        out = tmp_path / "env.csv"
+        out = tmp_path / "d.csv"
         code, _, _ = run(capsys, "gen-table", "--method", "harmonic",
                          "--n-min", "3", "--n-max", "3", "--N", "99", "--R", "2",
                          "--out", str(out))
         assert code == 0
-        assert read_csv(out).seed == 999
+        assert "# seed=20240101\n" in out.read_text()
 
-    def test_explicit_seed_overrides_bad_env_seed(self, capsys, monkeypatch):
-        # argparse parses the environment's default only when --seed is absent
-        monkeypatch.setenv("METACRIT_SEED", "abc")
-        code, out, _ = run(capsys, "critical", "--method", "fisher", "--n", "3", "--nf", "1",
-                           "--q", "0.95", "--simulate", "--N", "99", "--R", "2", "--seed", "5")
-        assert code == 0
-        assert "(simulated)" in out
-
-    def test_bad_seed_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate", "--method", "tippett", "--n", "3", "--nf", "0",
-                  "--seed", "xyz"])
-        assert exc.value.code == 2
-
-
-    @pytest.mark.parametrize("value", ["abc", "-3"])
-    def test_bad_env_seed_is_usage_error(self, value, monkeypatch):
-        # one line that names the variable, from each command that may simulate
-        monkeypatch.setenv("METACRIT_SEED", value)
-        for command in ("critical", "combine"):
-            proc = subprocess.run([sys.executable, "-m", "metacrit.cli", *SIM_ARGV[command]],
-                                  capture_output=True, text=True)
-            assert (proc.returncode, proc.stdout) == (2, ""), command
-            [line] = proc.stderr.splitlines()
-            assert line.startswith("error: ") and "METACRIT_SEED" in line, command
-
-    @pytest.mark.parametrize("env, flags", [("abc", ()), ("", ("--seed", "-1"))],
-                             ids=["bad-env", "negative-flag"])
-    def test_seed_is_ignored_where_nothing_simulates(self, env, flags, capsys, monkeypatch):
-        # an exact answer reads no seed: neither the variable nor --seed is checked
-        monkeypatch.setenv("METACRIT_SEED", env)
+    @pytest.mark.parametrize("flags", [("--seed", "-1")], ids=["negative-flag"])
+    def test_seed_is_ignored_where_nothing_simulates(self, flags, capsys):
+        # an exact answer reads no seed, so --seed is not checked
         code, out, err = run(capsys, "critical", "--method", "fisher", "--n", "3", "--nf", "0",
                              "--q", "0.95", "--exact", *flags)
         assert (code, err) == (0, "")

@@ -156,6 +156,17 @@ class TestGenuineOnlyLaws:
                     -2 * n * math.log(quantile(Method.GEOMETRIC_MEAN, n, 0, 1 - q)), abs=1e-8
                 )
 
+    @pytest.mark.parametrize("n", [5000, 20000, 100000])
+    @pytest.mark.parametrize("method, oracle", [
+        (Method.FISHER, lambda n, q: stats.chi2.ppf(q, 2 * n)),
+        (Method.CHEN, lambda n, q: stats.chi2.ppf(q, n)),
+        (Method.GEOMETRIC_MEAN, lambda n, q: math.exp(-stats.gamma.isf(q, n) / n)),
+    ], ids=["fisher", "chen", "gm"])
+    def test_large_n_against_scipy(self, method, oracle, n):
+        # near x = a the incomplete gamma needs terms in proportion to sqrt(a)
+        for q in DEFAULT_Q_LEVELS:
+            assert quantile(method, n, 0, q) == pytest.approx(oracle(n, q), rel=1e-9, abs=0.0)
+
     def test_all_strictly_increasing(self):
         qs = np.linspace(0.01, 0.99, 99)
         funcs = [

@@ -10,7 +10,9 @@ imports nothing but numpy and the standard library: scipy and mpmath are
 test oracles only.  numpy is imported inside the functions that use arrays,
 never when a module loads, so exact and table lookups run without it, and
 no module imports ``dataclasses``, whose own imports would dominate a cold
-start.  Each input rule is raised from one place only.
+start.  No module reads the process environment, so every printed number is
+a function of the command line.  Each input rule is raised from one place
+only.
 """
 
 import ast
@@ -118,6 +120,18 @@ def test_runtime_imports_only_numpy_and_stdlib(source):
 def test_records_need_no_dataclasses(source):
     # dataclasses pulls inspect, ast, dis and tokenize into every cold start
     assert "dataclasses" not in imported_roots(ast.walk(ast.parse(source.read_text())))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_environment_is_never_read(source):
+    # os.environ, os.getenv and os.environb, as attributes or imported names
+    # (os.cpu_count is no read of the environment)
+    reads = {"environ", "getenv", "environb"}
+    found = [node.lineno for node in ast.walk(ast.parse(source.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr in reads)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in reads for alias in node.names))]
+    assert not found, f"{source.name} reads the environment at lines {found}"
 
 
 def import_time_nodes(tree):
