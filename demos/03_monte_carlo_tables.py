@@ -14,7 +14,6 @@ from pathlib import Path
 from metacrit import (
     Method,
     MethodSpec,
-    SimConfig,
     aggregate,
     confidence_interval,
     exact_quantile,
@@ -28,19 +27,19 @@ from metacrit import (
 
 def main():
     spec = MethodSpec(Method.FISHER)
-    cfg = SimConfig(n=3, n_f=1, N=4999, R=50, seed=20240101, q_list=(0.95,))
+    N, R, seed = sim = (4999, 50, 20240101)
 
     print("single replicas (Fisher statistic, n=3 with one fake, q = 0.95):")
-    first = [run_replica(spec, [cfg], r)[0][0] for r in range(cfg.R)]
+    first = [run_replica(spec, [(3, 1, (0.95,))], sim, r)[0][0] for r in range(R)]
     print("  first five replica estimates:", [f"{v:.4f}" for v in first[:5]])
 
     est = aggregate(first, 0.95)
     lo, hi = confidence_interval(est, 0.05)
     print(f"  aggregated: {est.estimate:.4f} +- {est.stderr:.4f} "
-          f"(95% CI {lo:.4f} .. {hi:.4f}) over R={est.replicas} replicas")
+          f"(95% CI {lo:.4f} .. {hi:.4f}) over R={R} replicas")
 
     print("\nsmall table over n = 3..5 (exact cells where the law exists):")
-    table = generate_table(spec, n_min=3, n_max=5, N=4999, R=50, seed=20240101)
+    table = generate_table(spec, n_min=3, n_max=5, N=N, R=R, seed=seed)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fisher.csv"

@@ -24,7 +24,8 @@ from pathlib import Path
 from .estimation import SIMULATED, QuantileEstimate
 from .exact import UnsupportedExactError, has_exact_quantile
 from .methods import MethodSpec, Tail, evaluate_statistic, parse_method
-from .sampling import DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED
+from .sampling import (DEFAULT_N_REPLICAS, DEFAULT_N_SAMPLES, DEFAULT_Q_LEVELS, DEFAULT_SEED,
+                       parse_seed)
 from .special import ConvergenceError, DomainError, check_alpha
 from .tables import (
     TableGenerationError,
@@ -50,11 +51,11 @@ class CliError(argparse.ArgumentTypeError):
 
 
 def _parse_seed(text: str) -> int:
-    # a leading 0 is still decimal, and 0b or 0o is no seed syntax
+    # argparse prints a CliError, not a DomainError, as its usage error
     try:
-        return int(text, 16 if "0x" in text.lower() else 10)
-    except ValueError:
-        raise CliError(f"seed {text!r} is not a decimal or 0x-hex integer")
+        return parse_seed(text)
+    except DomainError as err:
+        raise CliError(str(err))
 
 
 def _parse_q_list(text: str):

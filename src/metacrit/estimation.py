@@ -44,7 +44,7 @@ _INDEX_GUARD = 1e-7
 
 
 class QuantileEstimate(collections.namedtuple(
-        "QuantileEstimate", "q estimate stderr replicas provenance", defaults=(SIMULATED,))):
+        "QuantileEstimate", "q estimate stderr provenance", defaults=(SIMULATED,))):
     """One estimated (or exact) quantile.
 
     ``stderr`` is None when the value is exact or when R = 1 leaves the
@@ -62,19 +62,19 @@ def quantile_index(N: int, q: float) -> int:
     return min(max(idx, 1), N)
 
 
-def run_replica(spec: MethodSpec, cfgs, replica_index: int) -> list:
-    """One replica's quantile estimates for each cell of ``cfgs`` (which share
-    N, R and seed), one per level of its q_list.  Each cell's statistics are
-    reduced to its order statistics before the next cell's are made."""
-    first = cfgs[0]
-    if not (0 <= replica_index < first.R):
+def run_replica(spec: MethodSpec, cells, sim, replica_index: int) -> list:
+    """One replica of ``sim = (N, R, seed)``: for each (n, n_f, q_list) of ``cells``
+    its estimate at each level.  Each cell's statistics are reduced to its
+    order statistics before the next cell's are made."""
+    N, R, seed = sim
+    if not (0 <= replica_index < R):
         raise DomainError("replica index outside 0..R-1")
-    stream = replica_stream(first.seed, replica_index)
-    draws = sample_cells(spec, [(cfg.n, cfg.n_f) for cfg in cfgs], first.N, stream)
+    stream = replica_stream(seed, replica_index)
+    draws = sample_cells(spec, [(n, n_f) for n, n_f, _ in cells], N, stream)
     estimates = []
-    for cfg, stats in zip(cfgs, draws):
+    for (_, _, q_list), stats in zip(cells, draws):
         stats.sort()  # in place: each yielded array is the cell's own
-        estimates.append(stats[_ranks(first.N, cfg.q_list)])
+        estimates.append(stats[_ranks(N, q_list)])
     return estimates
 
 
@@ -100,10 +100,8 @@ def aggregate(replica_values, q: float) -> QuantileEstimate:
     # the bits of vals.mean() and np.sum(...), without their Python wrappers
     R = vals.size
     mean = float(np.add.reduce(vals)) / R
-    if R == 1:
-        return QuantileEstimate(q=q, estimate=mean, stderr=None, replicas=1)
-    stderr = math.sqrt(float(np.add.reduce((vals - mean) ** 2)) / (R * (R - 1)))
-    return QuantileEstimate(q=q, estimate=mean, stderr=stderr, replicas=R)
+    stderr = None if R == 1 else math.sqrt(float(np.add.reduce((vals - mean) ** 2)) / (R * (R - 1)))
+    return QuantileEstimate(q=q, estimate=mean, stderr=stderr)
 
 
 def check_workers(workers: int):
@@ -112,9 +110,9 @@ def check_workers(workers: int):
         raise DomainError("workers must be >= 1")
 
 
-def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[QuantileEstimate]]:
-    """Full pipeline for (method, n, n_f) cells that share N, R and seed: R
-    replicas, each drawing its stream once for all cells, aggregated per level.
+def simulate_cells(spec: MethodSpec, cells, sim, workers: int = 1) -> list[list[QuantileEstimate]]:
+    """Full pipeline for the (n, n_f, q_list) ``cells`` of one ``sim = (N, R, seed)``:
+    R replicas, each drawing its stream once for all cells, aggregated per level.
     Every replica's estimates go, as they arrive, into one row of an
     (R, total levels) array, each cell's levels in one run of columns, so a
     simulation holds R floats per level and no per-replica arrays.
@@ -122,13 +120,11 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
     processes, with the same result.  An empty list of cells gives an empty list."""
     import numpy as np
     check_workers(workers)
-    if not cfgs:
+    if not cells:
         return []
-    if len({(cfg.N, cfg.R, cfg.seed) for cfg in cfgs}) != 1:
-        raise DomainError("cells simulated together must share N, R and seed")
-    R = cfgs[0].R
-    rows = np.empty((R, sum(len(cfg.q_list) for cfg in cfgs)))
-    replica = functools.partial(run_replica, spec, cfgs)
+    R = sim[1]
+    rows = np.empty((R, sum(len(q_list) for _, _, q_list in cells)))
+    replica = functools.partial(run_replica, spec, cells, sim)
     # more processes than replicas or cores only adds fork and import cost
     workers = min(workers, R, os.cpu_count() or 1)
     if workers > 1:
@@ -136,23 +132,23 @@ def simulate_cells(spec: MethodSpec, cfgs, workers: int = 1) -> list[list[Quanti
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 estimates = pool.map(replica, range(R), chunksize=-(-R // workers))
-                for row, cells in zip(rows, estimates):
-                    np.concatenate(cells, out=row)
+                for row, got in zip(rows, estimates):
+                    np.concatenate(got, out=row)
         except concurrent.futures.BrokenExecutor as err:
             raise ChildProcessError(str(err)) from err
     else:
         for r, row in enumerate(rows):
             np.concatenate(replica(r), out=row)
     # a cell's levels are the columns at..at + len(q_list) - 1
-    starts = itertools.accumulate((len(cfg.q_list) for cfg in cfgs), initial=0)
-    return [[aggregate(rows[:, at + j], q) for j, q in enumerate(cfg.q_list)]
-            for cfg, at in zip(cfgs, starts)]
+    starts = itertools.accumulate((len(q_list) for _, _, q_list in cells), initial=0)
+    return [[aggregate(rows[:, at + j], q) for j, q in enumerate(q_list)]
+            for (_, _, q_list), at in zip(cells, starts)]
 
 
 def simulate_quantiles(spec: MethodSpec, cfg: SimConfig) -> list[QuantileEstimate]:
     """Full pipeline for one (method, n, n_f) cell: R independent replicas,
     aggregated per quantile level."""
-    return simulate_cells(spec, [cfg])[0]
+    return simulate_cells(spec, [(cfg.n, cfg.n_f, cfg.q_list)], (cfg.N, cfg.R, cfg.seed))[0]
 
 
 def confidence_interval(est: QuantileEstimate, alpha: float) -> tuple[float, float]:

@@ -44,6 +44,7 @@ __all__ = [
     "DEFAULT_Q_LEVELS",
     "check_counts",
     "check_seed",
+    "parse_seed",
     "SimConfig",
     "replica_stream",
     "sample_pmatrix",
@@ -68,6 +69,15 @@ def check_seed(seed: int):
     """The one rule for a master seed: nonnegative; raises DomainError."""
     if seed < 0:
         raise DomainError("seed must be nonnegative")
+
+
+def parse_seed(text: str) -> int:
+    """The one syntax for a seed: decimal, a leading 0 included, or 0x-hex (no
+    0b or 0o); raises DomainError."""
+    try:
+        return int(text, 16 if "0x" in text.lower() else 10)
+    except ValueError:
+        raise DomainError(f"seed {text!r} is not a decimal or 0x-hex integer") from None
 
 
 class SimConfig(collections.namedtuple("SimConfig", "n n_f N R seed q_list")):

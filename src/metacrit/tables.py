@@ -22,9 +22,9 @@ from .sampling import (
     DEFAULT_N_SAMPLES,
     DEFAULT_Q_LEVELS,
     DEFAULT_SEED,
-    SimConfig,
     check_counts,
     check_seed,
+    parse_seed,
 )
 from .special import ConvergenceError, DomainError, check_levels
 
@@ -43,7 +43,7 @@ __all__ = [
 _HEADER = "method,n,n_f,q,estimate,stderr,provenance"
 TABLE = "table"  # provenance of a critical value read from a table file
 # the metadata lines of a table file, in the order written, each with its parser
-_META = {"seed": lambda v: int(v, 0), "N": int, "R": int, "version": str, "numpy": str}
+_META = {"seed": parse_seed, "N": int, "R": int, "version": str, "numpy": str}
 
 
 class TableLookupError(KeyError):
@@ -143,7 +143,7 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
     for (n, n_f), got in zip(cells, found):
         if use_exact and has_exact_quantile(spec, n, n_f):
             got.update((q, QuantileEstimate(q=q, estimate=exact_quantile(spec, n, n_f, q),
-                                            stderr=None, replicas=0, provenance=EXACT))
+                                            stderr=None, provenance=EXACT))
                        for q in q_list)
         elif table is None and sim is None:
             raise UnsupportedExactError(
@@ -156,17 +156,16 @@ def resolve_quantiles(spec: MethodSpec, cells, q_list, *, use_exact: bool = True
                     if sim is None:
                         raise
                     continue  # off-grid keys fall through to simulation, never interpolation
-                replicas = table.R if cell.provenance == SIMULATED else 0
                 got[q] = QuantileEstimate(q=q, estimate=cell.estimate, stderr=cell.stderr,
-                                          replicas=replicas, provenance=TABLE)
+                                          provenance=TABLE)
     # per-replica order statistics do not depend on the other levels or
     # cells, so one run gives each level the value a run of its own would
-    todo = [(got, SimConfig(n, n_f, *sim, q_list=tuple(q for q in q_list if q not in got)))
+    todo = [(got, (n, n_f, tuple(q for q in q_list if q not in got)))
             for (n, n_f), got in zip(cells, found) if any(q not in got for q in q_list)]
     if todo:
-        simulated = simulate_cells(spec, [cfg for _, cfg in todo], workers)
-        for (got, cfg), estimates in zip(todo, simulated):
-            got.update(zip(cfg.q_list, estimates))
+        simulated = simulate_cells(spec, [cell for _, cell in todo], sim, workers)
+        for (got, _), estimates in zip(todo, simulated):
+            got.update((est.q, est) for est in estimates)
     return [[got[q] for q in q_list] for got in found]
 
 
@@ -197,7 +196,8 @@ def generate_table(
     """
     grid = default_grid(n_min, n_max)
     try:
-        resolved = resolve_quantiles(spec, grid, tuple(q_list), use_exact=use_exact,
+        # Python floats, so write_csv prints each level as read_csv reads it
+        resolved = resolve_quantiles(spec, grid, tuple(map(float, q_list)), use_exact=use_exact,
                                      sim=(N, R, seed), workers=workers)
     except _CELL_FAILURES as err:
         raise TableGenerationError(f"{type(err).__name__}: {err}", grid) from err
@@ -228,6 +228,7 @@ def read_csv(path) -> CriticalValueTable:
     round trip is lossless, and a bad row raises TableParseError."""
     table = CriticalValueTable(version="", numpy="")
     methods = {}  # each distinct method token is parsed once per file
+    rows = {}  # (method, n, n_f) -> the (q, estimate) pairs read so far
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -240,8 +241,12 @@ def read_csv(path) -> CriticalValueTable:
                 if key in _META:
                     try:
                         setattr(table, key, _META[key](val))
-                    except ValueError as err:
-                        raise TableParseError(f"line {lineno}: bad metadata {line!r}") from err
+                        # the others held already, so only this line's value can fail
+                        check_counts(N=table.N, R=table.R)
+                        check_seed(table.seed)
+                    except ValueError as err:  # a DomainError too
+                        raise TableParseError(
+                            f"line {lineno}: bad metadata {line!r}: {err}") from err
                 continue
             if line == _HEADER:
                 continue
@@ -270,6 +275,13 @@ def read_csv(path) -> CriticalValueTable:
                 if provenance == EXACT and stderr is not None:
                     raise DomainError("exact cells carry no standard error")
                 table.add(TableCell(method, n, n_f, q, estimate, stderr, provenance))
+                # a row's estimates never decrease as q grows, or a lower-tail
+                # critical value could lie above an upper-tail one
+                row = rows.setdefault((method, n, n_f), [])
+                if any(q2 < q and e2 > estimate or q2 > q and e2 < estimate for q2, e2 in row):
+                    raise DomainError(f"estimates must not decrease as q grows: {estimate!r} "
+                                      f"at q={q!r} breaks the order of its row")
+                row.append((q, estimate))
             except (ValueError, DomainError) as err:
                 raise TableParseError(f"line {lineno}: {err}") from err
     return table

@@ -235,9 +235,9 @@ class TestCombine:
     def test_tail_both_simulates_once(self, capsys, monkeypatch):
         calls = []
 
-        def counting(spec, cfgs, workers=1):
-            calls.extend(cfg.q_list for cfg in cfgs)
-            return simulate_cells(spec, cfgs, workers)
+        def counting(spec, cells, sim, workers=1):
+            calls.extend(q_list for _, _, q_list in cells)
+            return simulate_cells(spec, cells, sim, workers)
 
         monkeypatch.setattr(tables, "simulate_cells", counting)
         code, out, _ = run(capsys, "combine", "--method", "chen", "--nf", "1",
@@ -411,7 +411,8 @@ class TestSourceUsageErrors:
         assert code == 2
         assert not path.exists()
 
-    @pytest.mark.parametrize("meta", ["seed=abc", "N=", "R=1.5"])
+    @pytest.mark.parametrize("meta", ["seed=abc", "N=", "R=1.5",
+                                      "seed=0b101", "seed=-5", "N=0", "R=0"])
     def test_bad_table_metadata_is_usage_error(self, meta, tmp_path):
         path = tmp_path / "fisher.csv"
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
@@ -421,6 +422,28 @@ class TestSourceUsageErrors:
         assert proc.returncode == 2
         assert "error: line 2: bad metadata" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_leading_zero_seed_metadata_is_decimal(self, tmp_path, capsys):
+        # the table header takes the --seed syntax: 010 is ten
+        path = tmp_path / "mg.csv"
+        assert main(["gen-table", "--method", "mg", "--n-min", "3", "--n-max", "3",
+                     "--N", "99", "--R", "2", "--seed", "10", "--out", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(path.read_text().replace("# seed=10\n", "# seed=010\n"))
+        code, out, err = run(capsys, "combine", "--method", "mg", "--nf", "1", "--alpha", "0.05",
+                             "--p", "0.1,0.2,0.3", "--table", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["criticals"][0]["source"] == "table"
+
+    def test_row_decreasing_in_q_is_usage_error(self, tmp_path, capsys):
+        # a lower critical value above the upper one would decide against both
+        path = tmp_path / "mg.csv"
+        path.write_text("method,n,n_f,q,estimate,stderr,provenance\n"
+                        "mg,3,1,0.05,12.0,0.1,simulated\nmg,3,1,0.95,10.0,,simulated\n")
+        code, out, err = run(capsys, "combine", "--method", "mg", "--nf", "1", "--alpha", "0.1",
+                             "--tail", "both", "--p", "0.1,0.2,0.3", "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: estimates must not decrease as q grows")
 
     # a nan critical would retain and a -inf one reject; a duplicate row is
     # ambiguous

@@ -58,7 +58,6 @@ class TestAggregate:
         est = aggregate([3.0], 0.5)
         assert est.estimate == 3.0
         assert est.stderr is None
-        assert est.replicas == 1
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
@@ -89,23 +88,23 @@ class TestAggregate:
 
 class TestConfidenceInterval:
     def test_reference_interval(self):
-        est = QuantileEstimate(q=0.5, estimate=1.2, stderr=0.11547, replicas=3)
+        est = QuantileEstimate(q=0.5, estimate=1.2, stderr=0.11547)
         lo, hi = confidence_interval(est, 0.05)
         assert lo == pytest.approx(0.97368, abs=5e-5)
         assert hi == pytest.approx(1.42632, abs=5e-5)
 
     def test_unit_stderr(self):
-        est = QuantileEstimate(q=0.5, estimate=0.0, stderr=1.0, replicas=10)
+        est = QuantileEstimate(q=0.5, estimate=0.0, stderr=1.0)
         lo, hi = confidence_interval(est, 0.05)
         assert hi == pytest.approx(1.95996, abs=1e-5)
         assert lo == pytest.approx(-hi, abs=1e-12)
 
     def test_degenerate_for_exact(self):
-        est = QuantileEstimate(q=0.5, estimate=7.0, stderr=None, replicas=0, provenance="exact")
+        est = QuantileEstimate(q=0.5, estimate=7.0, stderr=None, provenance="exact")
         assert confidence_interval(est, 0.05) == (7.0, 7.0)
 
     def test_symmetric_and_contains_estimate(self):
-        est = QuantileEstimate(q=0.5, estimate=2.0, stderr=0.3, replicas=8)
+        est = QuantileEstimate(q=0.5, estimate=2.0, stderr=0.3)
         lo, hi = confidence_interval(est, 0.1)
         assert lo < est.estimate < hi
         assert hi - est.estimate == pytest.approx(est.estimate - lo, abs=1e-12)
@@ -114,26 +113,24 @@ class TestConfidenceInterval:
 class TestRunReplica:
     def test_degenerate_single_draw(self):
         spec = MethodSpec(Method.TIPPETT)
-        cfg = SimConfig(n=1, n_f=0, N=1, R=1, seed=99, q_list=(0.5,))
-        [vals] = run_replica(spec, [cfg], 0)
+        [vals] = run_replica(spec, [(1, 0, (0.5,))], (1, 1, 99), 0)
         expected = replica_stream(99, 0).random(1)[0]
         assert vals[0] == expected
 
     def test_edgington_median_of_two(self):
         # mean of two uniforms has median 1/2
         spec = MethodSpec(Method.EDGINGTON)
-        cfg = SimConfig(n=2, n_f=0, N=4999, R=1, seed=11, q_list=(0.5,))
-        assert run_replica(spec, [cfg], 0)[0][0] == pytest.approx(0.5, abs=0.02)
+        [[val]] = run_replica(spec, [(2, 0, (0.5,))], (4999, 1, 11), 0)
+        assert val == pytest.approx(0.5, abs=0.02)
 
     def test_fisher_upper_quantile(self):
         spec = MethodSpec(Method.FISHER)
-        cfg = SimConfig(n=3, n_f=0, N=4999, R=1, seed=123, q_list=(0.95,))
-        assert run_replica(spec, [cfg], 0)[0][0] == pytest.approx(12.59, abs=0.35)
+        [[val]] = run_replica(spec, [(3, 0, (0.95,))], (4999, 1, 123), 0)
+        assert val == pytest.approx(12.59, abs=0.35)
 
     def test_estimates_nondecreasing_in_q(self):
         spec = MethodSpec(Method.FISHER)
-        cfg = SimConfig(n=5, n_f=2, N=999, R=1, seed=7)
-        [vals] = run_replica(spec, [cfg], 0)
+        [vals] = run_replica(spec, [(5, 2, DEFAULT_Q_LEVELS)], (999, 1, 7), 0)
         assert np.all(np.diff(vals) >= 0)
 
     def test_ranks_are_one_read_only_index(self):
@@ -148,9 +145,9 @@ class TestRunReplica:
 
     def test_replica_index_bounds(self):
         spec = MethodSpec(Method.FISHER)
-        cfg = SimConfig(n=3, n_f=0, N=10, R=2, seed=1)
-        with pytest.raises(DomainError):
-            run_replica(spec, [cfg], 2)
+        for index in (-1, 2):
+            with pytest.raises(DomainError, match="replica index outside 0..R-1"):
+                run_replica(spec, [(3, 0, DEFAULT_Q_LEVELS)], (10, 2, 1), index)
 
 
 class TestSimulateQuantiles:
@@ -162,22 +159,13 @@ class TestSimulateQuantiles:
             exact = exact_quantile(spec, 4, 1, est.q)
             assert abs(est.estimate - exact) <= 3 * est.stderr
 
-    @pytest.mark.parametrize("other", [dict(N=501), dict(R=3), dict(seed=7)])
-    def test_cells_must_share_one_stream(self, other):
-        # cells read prefixes of the same replica streams, so N, R and seed agree
-        spec = MethodSpec(Method.WILSON_HARMONIC)
-        base = dict(N=500, R=4, seed=2024)
-        cfgs = [SimConfig(n=3, n_f=1, **base), SimConfig(n=4, n_f=0, **{**base, **other})]
-        with pytest.raises(DomainError, match="share"):
-            simulate_cells(spec, cfgs)
-
     def test_no_cells_simulate_nothing(self):
-        assert simulate_cells(MethodSpec(Method.WILSON_HARMONIC), []) == []
+        assert simulate_cells(MethodSpec(Method.WILSON_HARMONIC), [], (99, 2, 5)) == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(DomainError, match="workers must be >= 1"):
-            simulate_cells(MethodSpec(Method.WILSON_HARMONIC), [], workers=workers)
+            simulate_cells(MethodSpec(Method.WILSON_HARMONIC), [], (99, 2, 5), workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cells_with_their_own_levels_equal_cell_alone(self, monkeypatch, workers):
@@ -185,14 +173,13 @@ class TestSimulateQuantiles:
         # of columns of the shared estimates
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = MethodSpec(Method.MUDHOLKAR_GEORGE)
-        sim = dict(N=199, R=5, seed=11)
-        cfgs = [SimConfig(n=6, n_f=2, q_list=(0.95,), **sim),
-                SimConfig(n=5, n_f=1, **sim),
-                SimConfig(n=4, n_f=0, q_list=(0.01, 0.5, 0.99), **sim),
-                SimConfig(n=3, n_f=3, q_list=(0.05, 0.975), **sim)]
-        got = simulate_cells(spec, cfgs, workers=workers)
+        sim = (199, 5, 11)
+        cells = [(6, 2, (0.95,)), (5, 1, DEFAULT_Q_LEVELS), (4, 0, (0.01, 0.5, 0.99)),
+                 (3, 3, (0.05, 0.975))]
+        got = simulate_cells(spec, cells, sim, workers=workers)
         assert [len(estimates) for estimates in got] == [1, 10, 3, 2]
-        for cfg, estimates in zip(cfgs, got):
+        for (n, n_f, q_list), estimates in zip(cells, got):
+            cfg = SimConfig(n, n_f, *sim, q_list=q_list)
             assert estimates == simulate_quantiles(spec, cfg)
 
     def test_memory_is_one_float_per_replica_and_level(self):
@@ -200,15 +187,16 @@ class TestSimulateQuantiles:
         # floats it must keep, with no per-replica arrays held to the end
         spec = MethodSpec(Method.MUDHOLKAR_GEORGE)
         R = 400
-        cfgs = [SimConfig(n, n_f, N=99, R=R) for n, n_f in default_grid()]
-        simulate_cells(spec, cfgs[:2])  # imports and caches outside the trace
+        sim = (99, R, 20240101)
+        cells = [(n, n_f, DEFAULT_Q_LEVELS) for n, n_f in default_grid()]
+        simulate_cells(spec, cells[:2], sim)  # imports and caches outside the trace
         tracemalloc.start()
         try:
-            simulate_cells(spec, cfgs)
+            simulate_cells(spec, cells, sim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * R * sum(len(cfg.q_list) for cfg in cfgs) * 8
+        assert peak <= 1.5 * R * len(cells) * len(DEFAULT_Q_LEVELS) * 8
 
     def test_deterministic(self):
         spec = MethodSpec(Method.WILSON_HARMONIC)

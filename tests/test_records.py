@@ -22,7 +22,7 @@ SPEC = MethodSpec(Method.FISHER)
 RECORDS = {
     MethodSpec: dict(method=Method.CHEN, tail=Tail.LOWER),
     SimConfig: dict(n=4, n_f=1, N=99, R=3, seed=7, q_list=(0.1, 0.9)),
-    QuantileEstimate: dict(q=0.05, estimate=1.5, stderr=None, replicas=0, provenance="exact"),
+    QuantileEstimate: dict(q=0.05, estimate=1.5, stderr=None, provenance="exact"),
     TableCell: dict(method=Method.FISHER, n=3, n_f=1, q=0.95, estimate=14.0, stderr=0.1,
                     provenance="simulated"),
     EcdfDump: dict(values=(0.5,), spec=SPEC, n=3, n_f=0, N=1, seed=5),
@@ -68,7 +68,7 @@ def test_method_spec_default_tail(method):
 
 
 def test_quantile_estimate_defaults_to_simulated():
-    assert QuantileEstimate(0.5, 1.0, 0.1, 4).provenance == "simulated"
+    assert QuantileEstimate(0.5, 1.0, 0.1).provenance == "simulated"
 
 
 def test_sim_config_levels_become_a_tuple_of_floats():

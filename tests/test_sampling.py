@@ -162,13 +162,13 @@ class TestStreams:
         monkeypatch.setattr(sampling, "score", counting_score)
         spec, N, R = MethodSpec(method), 199, 2
         cells = [(n, n_f) for n in range(3, 10) for n_f in range(min(n, 3) + 1)]
-        simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R) for n, n_f in cells])
+        simulate_cells(spec, [(n, n_f, (0.5,)) for n, n_f in cells], (N, R, 5))
         max_nf, min_nf = max(f for _, f in cells), min(f for _, f in cells)
         per_replica = N * max_nf + N * max(n + f for n, f in cells) - 2 * N * min_nf
         assert sum(seen) == R * per_replica
         for n, n_f in [(9, 3), (5, 0), (4, 4)]:
             seen.clear()
-            simulate_cells(spec, [SimConfig(n, n_f, N=N, R=R)])
+            simulate_cells(spec, [(n, n_f, (0.5,))], (N, R, 5))
             assert sum(seen) == R * N * n
 
     @pytest.mark.parametrize("method", [Method.TIPPETT, Method.MUDHOLKAR_GEORGE])

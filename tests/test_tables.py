@@ -12,7 +12,7 @@ import metacrit.tables as tables
 from metacrit.estimation import simulate_cells, simulate_quantiles
 from metacrit.exact import UnsupportedExactError, exact_quantile
 from metacrit.methods import Method, MethodSpec, parse_method
-from metacrit.sampling import SimConfig, replica_stream
+from metacrit.sampling import DEFAULT_Q_LEVELS, SimConfig, replica_stream
 from metacrit.special import DomainError
 from metacrit.tables import (
     CriticalValueTable,
@@ -207,6 +207,16 @@ class TestCsv:
         write_csv(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("method", [Method.TIPPETT, Method.MUDHOLKAR_GEORGE])
+    def test_numpy_levels_round_trip(self, method, tmp_path):
+        # exact (Tippett) and simulated (mg) cells alike print each level as a float
+        table = generate_table(MethodSpec(method), n_min=3, n_max=3, N=99, R=2,
+                               q_list=np.array([0.05, 0.95]))
+        path = tmp_path / "levels.csv"
+        write_csv(table, path)
+        assert read_csv(path) == table
+        assert {type(q) for _, _, _, q in table.cells} == {float}
+
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(CriticalValueTable(), path)
@@ -243,12 +253,21 @@ class TestCsv:
         with pytest.raises(TableParseError, match="line 2"):
             read_csv(path)
 
-    @pytest.mark.parametrize("meta", ["seed=abc", "N=4999.0", "R="])
+    @pytest.mark.parametrize("meta", ["seed=abc", "N=4999.0", "R=",
+                                      # the --seed syntax, and each value's own rule
+                                      "seed=0b101", "seed=0o7", "seed=-5", "N=0", "R=0"])
     def test_bad_metadata_names_line(self, meta, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
         with pytest.raises(TableParseError, match="line 2: bad metadata"):
             read_csv(path)
+
+    @pytest.mark.parametrize("text, seed", [("010", 10), ("0x1F", 31), ("20240101", 20240101)])
+    def test_seed_metadata_reads_as_the_seed_flag(self, text, seed, tmp_path):
+        # decimal, a leading 0 included, or 0x-hex: what --seed accepts
+        path = tmp_path / "seed.csv"
+        path.write_text(f"# seed={text}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
+        assert read_csv(path).seed == seed
 
     # each bad row with the message read_csv gives for it
     BAD_ROWS = [
@@ -266,6 +285,11 @@ class TestCsv:
         ("fisher,0,0,0.95,12.5916,,exact", "need n >= 1 and 0 <= n_f <= n; got n=0, n_f=0"),
         ("fisher,3,0,1.5,12.5916,,exact", r"quantile levels must lie strictly inside \(0, 1\)"),
         ("fisher,3,0,nan,12.5916,,exact", r"quantile levels must lie strictly inside \(0, 1\)"),
+        # a row's estimates never decrease as q grows, whichever line comes first
+        ("fisher,3,0,0.99,12.0,,exact",
+         "estimates must not decrease as q grows: 12.0 at q=0.99 breaks the order of its row"),
+        ("fisher,3,0,0.9,13.0,,exact",
+         "estimates must not decrease as q grows: 13.0 at q=0.9 breaks the order of its row"),
     ]
 
     @pytest.mark.parametrize("row, match", BAD_ROWS, ids=[row for row, _ in BAD_ROWS])
@@ -350,7 +374,7 @@ class TestResolveQuantiles:
                 assert est.estimate == exact_quantile(self.FISHER, 3, n_f, est.q)
                 assert est.stderr is None
             elif est.provenance == "table":
-                assert (est.estimate, est.stderr, est.replicas) == (14.0, 0.1, 3)
+                assert (est.estimate, est.stderr) == (14.0, 0.1)
             else:
                 N, R, seed = self.SIM
                 cfg = SimConfig(n=3, n_f=n_f, N=N, R=R, seed=seed, q_list=(est.q,))
@@ -406,9 +430,10 @@ class TestSharedDraws:
     @pytest.mark.parametrize("spec", SPECS, ids=[s.method.token for s in SPECS])
     def test_shared_simulation_equals_cell_alone(self, spec):
         # largest cell first, so no cell's prefix ends the shared draw
-        cfgs = [SimConfig(n=n, n_f=n_f, **self.SIM) for n, n_f in default_grid(3, 9)[::-1]]
-        for cfg, estimates in zip(cfgs, simulate_cells(spec, cfgs)):
-            assert estimates == simulate_quantiles(spec, cfg)
+        cells = [(n, n_f, DEFAULT_Q_LEVELS) for n, n_f in default_grid(3, 9)[::-1]]
+        sim = (self.SIM["N"], self.SIM["R"], self.SIM["seed"])
+        for (n, n_f, _), estimates in zip(cells, simulate_cells(spec, cells, sim)):
+            assert estimates == simulate_quantiles(spec, SimConfig(n=n, n_f=n_f, **self.SIM))
 
     # sha256 of the data rows of small tables, with numpy 2.4.6: a change to
     # any stream, or to the bits of a reduction that shows at six digits,
@@ -443,7 +468,7 @@ class TestSharedDraws:
 
 class TestGenerationFailures:
     def test_failed_cell_is_reported(self, monkeypatch):
-        def boom(spec, cfgs, workers=1):
+        def boom(spec, cells, sim, workers=1):
             raise ArithmeticError("synthetic cell failure")
 
         monkeypatch.setattr(tables, "simulate_cells", boom)
@@ -454,7 +479,7 @@ class TestGenerationFailures:
     def test_one_failure_is_named_once(self, monkeypatch):
         # a dead worker fails every cell of the default grid with one message:
         # the report names it once, then the cells, and keeps one entry a cell
-        def dead(spec, cfgs, workers=1):
+        def dead(spec, cells, sim, workers=1):
             raise ChildProcessError("worker killed")
 
         monkeypatch.setattr(tables, "simulate_cells", dead)
@@ -467,7 +492,7 @@ class TestGenerationFailures:
         assert len(message.encode()) < 4096
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(spec, cfgs, workers=1):
+        def broken(spec, cells, sim, workers=1):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(tables, "simulate_cells", broken)
