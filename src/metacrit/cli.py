@@ -132,7 +132,6 @@ def _cmd_gen_table(args) -> int:
         R=args.R,
         seed=args.seed,
         q_list=q_list,
-        use_exact=args.exact,
         workers=args.workers,
     )
     write_csv(table, args.out)
@@ -244,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-min", type=int, default=3)
     g.add_argument("--n-max", type=int, default=26)
     g.add_argument("--q-list", default=None, help="comma-separated quantile levels")
-    g.add_argument("--exact", action=argparse.BooleanOptionalAction, default=True,
-                   help="use exact values where available (--no-exact simulates everything)")
     g.add_argument("--workers", type=int, default=1)
     g.add_argument("--out", required=True)
     _add_sim_flags(g)

@@ -1,11 +1,12 @@
 """Critical-value table generation, CSV persistence, and keyed lookup.
 
-A table holds one cell per (method, n, n_f, q).  The default grid covers
-n = 3..26 with n_f = 0..max(3, floor(n/3)), matching the published layout.
-Cell values are canonicalized to six significant digits on creation so that
-serialization is an identity: rewriting a parsed file reproduces it byte for
-byte, and regeneration with the same seed is byte-identical regardless of
-worker count.
+A table is a named tuple of its cells, one per (method, n, n_f, q), and
+the seed, N, R and versions that made them; ``generate_table`` and
+``read_csv`` each build one whole.  The default grid covers n = 3..26 with
+n_f = 0..max(3, floor(n/3)), matching the published layout.  Cell values are
+canonicalized to six significant digits on creation so that serialization is
+an identity: rewriting a parsed file reproduces it byte for byte, and
+regeneration with the same seed is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -79,31 +80,8 @@ def _fmt(x: float | None) -> str:
 # one critical value by its key, a plain record: ``generate_table`` builds
 # cells from a checked request, and ``read_csv`` checks each row it reads
 TableCell = collections.namedtuple("TableCell", "method n n_f q estimate stderr provenance")
-
-
-class CriticalValueTable:
-    """Cells indexed by (method, n, n_f, q) plus generation metadata.  numpy is
-    imported for its version only when none is given, never by ``read_csv``."""
-
-    def __init__(self, cells: dict | None = None, seed: int = DEFAULT_SEED,
-                 N: int = DEFAULT_N_SAMPLES, R: int = DEFAULT_N_REPLICAS,
-                 version: str = __version__, numpy: str | None = None):
-        self.cells = {} if cells is None else cells
-        self.seed, self.N, self.R, self.version = seed, N, R, version
-        self.numpy = __import__("numpy").__version__ if numpy is None else numpy
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def add(self, cell: TableCell):
-        # one hash of the key, whose Method hashes in Python
-        size = len(self.cells)
-        self.cells.setdefault((cell.method, cell.n, cell.n_f, cell.q), cell)
-        if len(self.cells) == size:
-            raise DomainError(f"duplicate table key ({cell.method.token}, n={cell.n}, "
-                              f"n_f={cell.n_f}, q={cell.q!r})")
+# the cells by (method, n, n_f, q), then the metadata lines of its file
+CriticalValueTable = collections.namedtuple("CriticalValueTable", "cells seed N R version numpy")
 
 
 def default_grid(n_min: int = 3, n_max: int = 26):
@@ -202,12 +180,12 @@ def generate_table(
     except _CELL_FAILURES as err:
         raise TableGenerationError(f"{type(err).__name__}: {err}", grid) from err
 
-    table = CriticalValueTable(seed=seed, N=N, R=R)
-    for (n, n_f), estimates in zip(grid, resolved):
-        for est in estimates:
-            table.add(TableCell(spec.method, n, n_f, est.q, _canonical(est.estimate),
-                                _canonical(est.stderr), est.provenance))
-    return table
+    import numpy  # for its version, which every generated table records
+    m = spec.method
+    cells = {(m, n, n_f, est.q): TableCell(m, n, n_f, est.q, _canonical(est.estimate),
+                                           _canonical(est.stderr), est.provenance)
+             for (n, n_f), estimates in zip(grid, resolved) for est in estimates}
+    return CriticalValueTable(cells, seed, N, R, __version__, numpy.__version__)
 
 
 def write_csv(table: CriticalValueTable, path):
@@ -226,7 +204,9 @@ def write_csv(table: CriticalValueTable, path):
 def read_csv(path) -> CriticalValueTable:
     """Parse and check every row of a table written by ``write_csv``; the
     round trip is lossless, and a bad row raises TableParseError."""
-    table = CriticalValueTable(version="", numpy="")
+    # a metadata line left out keeps its default
+    meta = dict(seed=DEFAULT_SEED, N=DEFAULT_N_SAMPLES, R=DEFAULT_N_REPLICAS, version="", numpy="")
+    cells = {}
     methods = {}  # each distinct method token is parsed once per file
     rows = {}  # (method, n, n_f) -> the (q, estimate) pairs read so far
     with open(path) as f:
@@ -240,10 +220,10 @@ def read_csv(path) -> CriticalValueTable:
                     raise TableParseError(f"line {lineno}: malformed metadata {line!r}")
                 if key in _META:
                     try:
-                        setattr(table, key, _META[key](val))
+                        meta[key] = _META[key](val)
                         # the others held already, so only this line's value can fail
-                        check_counts(N=table.N, R=table.R)
-                        check_seed(table.seed)
+                        check_counts(N=meta["N"], R=meta["R"])
+                        check_seed(meta["seed"])
                     except ValueError as err:  # a DomainError too
                         raise TableParseError(
                             f"line {lineno}: bad metadata {line!r}: {err}") from err
@@ -274,7 +254,12 @@ def read_csv(path) -> CriticalValueTable:
                     raise DomainError(f"stderr must be finite and >= 0, got {stderr!r}")
                 if provenance == EXACT and stderr is not None:
                     raise DomainError("exact cells carry no standard error")
-                table.add(TableCell(method, n, n_f, q, estimate, stderr, provenance))
+                size = len(cells)  # one hash of the key, whose Method hashes in Python
+                cells.setdefault((method, n, n_f, q),
+                                 TableCell(method, n, n_f, q, estimate, stderr, provenance))
+                if len(cells) == size:
+                    raise DomainError(f"duplicate table key ({method.token}, n={n}, "
+                                      f"n_f={n_f}, q={q!r})")
                 # a row's estimates never decrease as q grows, or a lower-tail
                 # critical value could lie above an upper-tail one
                 row = rows.setdefault((method, n, n_f), [])
@@ -284,7 +269,7 @@ def read_csv(path) -> CriticalValueTable:
                 row.append((q, estimate))
             except (ValueError, DomainError) as err:
                 raise TableParseError(f"line {lineno}: {err}") from err
-    return table
+    return CriticalValueTable(cells, **meta)
 
 
 def lookup(table: CriticalValueTable, method: Method, n: int, n_f: int, q: float) -> TableCell:

@@ -38,8 +38,8 @@ def source_flags(source, tmp_path, capsys):
 class TestGenTable:
     def test_exact_tippett_matches_published(self, tmp_path, capsys, reference_tables):
         out = tmp_path / "t.csv"
-        code, _, _ = run(capsys, "gen-table", "--method", "tippett", "--exact",
-                         "--n-max", "5", "--out", str(out))
+        code, _, _ = run(capsys, "gen-table", "--method", "tippett", "--n-max", "5",
+                         "--out", str(out))
         assert code == 0
         table = read_csv(out)
         ref = reference_tables["tippett"]

@@ -4,6 +4,7 @@ Each record is a ``collections.namedtuple`` subclass, so it loads without
 ``dataclasses``; these tests pin what callers rely on: read-only fields,
 construction by keyword or position, a ``Name(field=...)`` repr, equality
 and hashing by value, and pickling (records cross to worker processes).
+A critical-value table is one too, compared by value but unhashable.
 """
 
 import pickle
@@ -28,9 +29,14 @@ RECORDS = {
     EcdfDump: dict(values=(0.5,), spec=SPEC, n=3, n_f=0, N=1, seed=5),
 }
 ids = [cls.__name__ for cls in RECORDS]
+# and the table, whose cells, a dict, leave it unhashable
+TABLE = dict(cells={(Method.FISHER, 3, 1, 0.95): TableCell(**RECORDS[TableCell])}, seed=7,
+             N=99, R=3, version="0.1.0", numpy="2.0")
+ALL = {**RECORDS, CriticalValueTable: TABLE}
+all_ids = [*ids, "CriticalValueTable"]
 
 
-@pytest.mark.parametrize("cls, kw", RECORDS.items(), ids=ids)
+@pytest.mark.parametrize("cls, kw", ALL.items(), ids=all_ids)
 def test_fields_are_read_only(cls, kw):
     rec = cls(**kw)
     for name in kw:
@@ -50,7 +56,7 @@ def test_keyword_construction_and_repr(cls, kw):
     assert repr(rec) == f"{cls.__name__}({fields})"
 
 
-@pytest.mark.parametrize("cls, kw", RECORDS.items(), ids=ids)
+@pytest.mark.parametrize("cls, kw", ALL.items(), ids=all_ids)
 def test_pickle_round_trip(cls, kw):
     rec = cls(**kw)
     back = pickle.loads(pickle.dumps(rec))
@@ -79,11 +85,9 @@ def test_sim_config_levels_become_a_tuple_of_floats():
 
 def test_table_equality_covers_cells_and_metadata():
     def table(**kw):
-        t = CriticalValueTable(numpy="2.0", **kw)
-        t.add(TableCell(**RECORDS[TableCell]))
-        return t
+        return CriticalValueTable(**{**TABLE, **kw})
 
     assert table() == table()
     assert table() != table(seed=1)
-    assert table() != CriticalValueTable(numpy="2.0")
+    assert table() != table(cells={})
     assert table() != "table"

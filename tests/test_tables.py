@@ -29,6 +29,12 @@ from metacrit.tables import (
 )
 
 
+def table_of(*cells):
+    # a table holding ``cells`` under the metadata of a default run
+    return CriticalValueTable({(c.method, c.n, c.n_f, c.q): c for c in cells},
+                              seed=20240101, N=4999, R=50, version="0.1.0", numpy="2.0")
+
+
 class TestDefaultGrid:
     def test_small_n_carry_three_fakes(self):
         pairs = dict()
@@ -219,14 +225,13 @@ class TestCsv:
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(CriticalValueTable(), path)
+        write_csv(table_of(), path)
         lines = path.read_text().splitlines()
         assert lines[-1] == "method,n,n_f,q,estimate,stderr,provenance"
         assert all(ln.startswith("#") for ln in lines[:-1])
 
     def test_exact_cell_has_empty_stderr_field(self, tmp_path):
-        table = CriticalValueTable()
-        table.add(TableCell(Method.FISHER, 3, 0, 0.95, 12.5916, None, "exact"))
+        table = table_of(TableCell(Method.FISHER, 3, 0, 0.95, 12.5916, None, "exact"))
         path = tmp_path / "one.csv"
         write_csv(table, path)
         row = path.read_text().splitlines()[-1]
@@ -261,6 +266,13 @@ class TestCsv:
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")
         with pytest.raises(TableParseError, match="line 2: bad metadata"):
             read_csv(path)
+
+    def test_missing_metadata_reads_as_defaults(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("method,n,n_f,q,estimate,stderr,provenance\n")
+        table = read_csv(path)
+        assert (table.cells, table.seed, table.N, table.R) == ({}, 20240101, 4999, 50)
+        assert table.version == "" and table.numpy == ""
 
     @pytest.mark.parametrize("text, seed", [("010", 10), ("0x1F", 31), ("20240101", 20240101)])
     def test_seed_metadata_reads_as_the_seed_flag(self, text, seed, tmp_path):
@@ -331,13 +343,6 @@ class TestLookup:
         with pytest.raises(TableLookupError, match="no cells"):
             lookup(fisher_table, Method.CHEN, 3, 0, 0.005)
 
-    def test_duplicate_keys_rejected(self):
-        table = CriticalValueTable()
-        cell = TableCell(Method.FISHER, 3, 0, 0.5, 1.0, None, "exact")
-        table.add(cell)
-        with pytest.raises(DomainError):
-            table.add(cell)
-
 
 class TestResolveQuantiles:
     FISHER = MethodSpec(Method.FISHER)
@@ -345,11 +350,9 @@ class TestResolveQuantiles:
 
     @staticmethod
     def make_table():
-        table = CriticalValueTable(R=3)
         # a decoy where the exact law applies, and one cell with a fake
-        table.add(TableCell(Method.FISHER, 3, 0, 0.95, 99.0, None, "exact"))
-        table.add(TableCell(Method.FISHER, 3, 1, 0.95, 14.0, 0.1, "simulated"))
-        return table
+        return table_of(TableCell(Method.FISHER, 3, 0, 0.95, 99.0, None, "exact"),
+                        TableCell(Method.FISHER, 3, 1, 0.95, 14.0, 0.1, "simulated"))
 
     @pytest.mark.parametrize("n_f, q_list, with_table, with_sim, expected", [
         (0, (0.95,), True, True, ("exact",)),
