@@ -1,7 +1,8 @@
 """Closed-form and semi-analytic null quantiles/CDFs where they exist.
 
-Each exact law is one row of ``_LAWS``: where it applies, its CDF and, for
-Tippett, Stouffer and Wilkinson without fakes, its closed-form quantile.
+Each exact law is one ``Law`` row of ``_LAWS``: whether it takes fakes,
+its CDF and, for Tippett, Stouffer and Wilkinson without fakes, its
+closed-form quantile.
 With n_f fakes Tippett's minimum is Beta(1, n + n_f) and Wilkinson's
 maximum has CDF x^(n-n_f) (2x - x^2)^(n_f), for any n_f; with no fakes
 Fisher's statistic is chi-square(2n), Chen's chi-square(n), Stouffer's
@@ -15,6 +16,7 @@ usable closed form and callers fall back to simulation.
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
 
@@ -73,30 +75,26 @@ def _gm_cdf(n: int, n_f: int, x: float) -> float:
     return reg_upper_gamma(n, -n * math.log(min(x, 1.0))) if x > 0.0 else 0.0
 
 
-def _genuine_only(n, n_f):
-    return n_f == 0
-
-
+# an exact law: whether it holds for any n_f (``fakes``) or only for n_f = 0,
+# its cdf(n, n_f, x) of a finite float x, and its quantile(n, n_f, q) of a
+# checked float q, or None; a None quantile (Wilkinson's with fakes too) is
+# found as the CDF's root
+Law = collections.namedtuple("Law", "fakes cdf quantile")
 # Tippett and Wilkinson for any n_f (the published tables only simulate
 # Wilkinson with fakes); Fisher, Chen, Stouffer, the geometric mean and
 # Edgington only with n_f = 0.  A method missing here has no exact law.
-#
-# method -> (supports(n, n_f), cdf(n, n_f, x), quantile(n, n_f, q) or None),
-# where the CDF receives x as a finite float and q is a checked float; a
-# None quantile (Wilkinson's with fakes too) is found as the CDF's root
 _LAWS = {
     # 1 - (1 - q)^(1/(n + n_f)), by log1p and expm1 so no lower-tail q rounds away
-    Method.TIPPETT: (lambda n, n_f: True,
-                     lambda n, n_f, x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** (n + n_f),
-                     lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f))),
-    Method.WILKINSON: (lambda n, n_f: True, _wilkinson_cdf,
-                       lambda n, n_f, q: q ** (1.0 / n) if n_f == 0 else None),
-    Method.FISHER: (_genuine_only, lambda n, n_f, x: _chisq_cdf(2 * n, x), None),
-    Method.CHEN: (_genuine_only, lambda n, n_f, x: _chisq_cdf(n, x), None),
-    Method.STOUFFER: (_genuine_only, lambda n, n_f, x: normal_cdf(x),
-                      lambda n, n_f, q: normal_inv_cdf(q)),
-    Method.GEOMETRIC_MEAN: (_genuine_only, _gm_cdf, None),
-    Method.EDGINGTON: (_genuine_only, _irwin_hall_cdf, None),
+    Method.TIPPETT: Law(True, lambda n, n_f, x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** (n + n_f),
+                        lambda n, n_f, q: -math.expm1(math.log1p(-q) / (n + n_f))),
+    Method.WILKINSON: Law(True, _wilkinson_cdf,
+                          lambda n, n_f, q: q ** (1.0 / n) if n_f == 0 else None),
+    Method.FISHER: Law(False, lambda n, n_f, x: _chisq_cdf(2 * n, x), None),
+    Method.CHEN: Law(False, lambda n, n_f, x: _chisq_cdf(n, x), None),
+    Method.STOUFFER: Law(False, lambda n, n_f, x: normal_cdf(x),
+                         lambda n, n_f, q: normal_inv_cdf(q)),
+    Method.GEOMETRIC_MEAN: Law(False, _gm_cdf, None),
+    Method.EDGINGTON: Law(False, _irwin_hall_cdf, None),
 }
 
 
@@ -104,10 +102,10 @@ def has_exact_quantile(spec: MethodSpec, n: int, n_f: int) -> bool:
     """Whether an exact law exists for (method, n, n_f)."""
     check_cell(n, n_f)
     law = _LAWS.get(spec.method)
-    return law is not None and law[0](n, n_f)
+    return law is not None and (law.fakes or n_f == 0)
 
 
-def _law(spec: MethodSpec, n: int, n_f: int) -> tuple:
+def _law(spec: MethodSpec, n: int, n_f: int) -> Law:
     if not has_exact_quantile(spec, n, n_f):
         raise UnsupportedExactError(f"no exact law for {spec.method.token} with n={n}, n_f={n_f}")
     return _LAWS[spec.method]
@@ -117,21 +115,21 @@ def exact_quantile(spec: MethodSpec, n: int, n_f: int, q: float) -> float:
     """Exact quantile: the law's closed form where it has one, else the root
     of its CDF from [0, 1].  Raises UnsupportedExactError when the
     combination has no exact law."""
-    _, cdf, quantile = _law(spec, n, n_f)
+    law = _law(spec, n, n_f)
     q = float(q)
     check_levels(q)
-    x = None if quantile is None else quantile(n, n_f, q)
-    return invert_cdf(lambda v: cdf(n, n_f, v), q, 0.0, 1.0) if x is None else x
+    x = None if law.quantile is None else law.quantile(n, n_f, q)
+    return invert_cdf(lambda v: law.cdf(n, n_f, v), q, 0.0, 1.0) if x is None else x
 
 
 def exact_cdf(spec: MethodSpec, n: int, n_f: int, x):
     """Exact null CDF at x for supported combinations: a float for a scalar
     x, else an array of x's shape.  Raises DomainError for a non-finite x."""
-    _, cdf, _ = _law(spec, n, n_f)
+    law = _law(spec, n, n_f)
 
     def point(v):
         check_finite(v)
-        return cdf(n, n_f, v)
+        return law.cdf(n, n_f, v)
 
     return _map(point, x)
 

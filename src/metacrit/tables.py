@@ -202,10 +202,12 @@ def write_csv(table: CriticalValueTable, path):
 
 
 def read_csv(path) -> CriticalValueTable:
-    """Parse and check every row of a table written by ``write_csv``; the
-    round trip is lossless, and a bad row raises TableParseError."""
-    # a metadata line left out keeps its default
+    """Parse and check every line of a table written by ``write_csv``; the
+    round trip is lossless, and a bad row or metadata line raises
+    TableParseError."""
+    # a metadata line left out keeps its default; one given reads once
     meta = dict(seed=DEFAULT_SEED, N=DEFAULT_N_SAMPLES, R=DEFAULT_N_REPLICAS, version="", numpy="")
+    given = set()
     cells = {}
     methods = {}  # each distinct method token is parsed once per file
     rows = {}  # (method, n, n_f) -> the (q, estimate) pairs read so far
@@ -218,15 +220,18 @@ def read_csv(path) -> CriticalValueTable:
                 key, sep, val = (part.strip() for part in line[1:].partition("="))
                 if not sep:
                     raise TableParseError(f"line {lineno}: malformed metadata {line!r}")
-                if key in _META:
-                    try:
-                        meta[key] = _META[key](val)
-                        # the others held already, so only this line's value can fail
-                        check_counts(N=meta["N"], R=meta["R"])
-                        check_seed(meta["seed"])
-                    except ValueError as err:  # a DomainError too
-                        raise TableParseError(
-                            f"line {lineno}: bad metadata {line!r}: {err}") from err
+                try:
+                    if key not in _META:
+                        raise DomainError(f"unknown key {key!r}, not one of {', '.join(_META)}")
+                    if key in given:
+                        raise DomainError(f"key {key!r} given twice")
+                    given.add(key)
+                    meta[key] = _META[key](val)
+                    # the others held already, so only this line's value can fail
+                    check_counts(N=meta["N"], R=meta["R"])
+                    check_seed(meta["seed"])
+                except ValueError as err:  # a DomainError too
+                    raise TableParseError(f"line {lineno}: bad metadata {line!r}: {err}") from err
                 continue
             if line == _HEADER:
                 continue

@@ -412,7 +412,8 @@ class TestSourceUsageErrors:
         assert not path.exists()
 
     @pytest.mark.parametrize("meta", ["seed=abc", "N=", "R=1.5",
-                                      "seed=0b101", "seed=-5", "N=0", "R=0"])
+                                      "seed=0b101", "seed=-5", "N=0", "R=0",
+                                      "sede=7", "n=99", "version=0.1.0"])
     def test_bad_table_metadata_is_usage_error(self, meta, tmp_path):
         path = tmp_path / "fisher.csv"
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")

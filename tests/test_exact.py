@@ -62,8 +62,8 @@ class TestSupportMatrix:
 
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.token)
     def test_law_table_agrees_with_itself(self, method):
-        # the support predicate, the quantile and the CDF come from one
-        # entry, and the quantile inverts the CDF to 1e-11 of the nearer tail
+        # the fakes flag, the quantile and the CDF come from one Law row,
+        # and the quantile inverts the CDF to 1e-11 of the nearer tail
         s = spec(method)
         for n in range(1, 27):
             for n_f in range(n + 1):
@@ -213,6 +213,26 @@ class TestTails:
     def test_against_oracle(self, case, q):
         method, n, n_f, oracle = _ORACLES[case]
         assert quantile(method, n, n_f, q) == pytest.approx(oracle(q), rel=1e-9, abs=0.0)
+
+    # upper tails lose relative accuracy far out: the quantile is the root of
+    # the CDF, which resolves 1 - q only to 1.1e-16 absolute, so the root
+    # stops on its bracket's width.  An upper quantile found from the law's
+    # survival function at 1 - q, exact here, turns these cases into passes
+    _CDF_ROOT = pytest.mark.xfail(strict=True, reason="upper quantile is a root of the CDF")
+
+    @pytest.mark.parametrize("method, n, alpha", [
+        pytest.param(Method.FISHER, 5, 1e-12, marks=_CDF_ROOT),
+        pytest.param(Method.FISHER, 26, 1e-12, marks=_CDF_ROOT),
+        pytest.param(Method.CHEN, 5, 1e-12, marks=_CDF_ROOT),
+        pytest.param(Method.CHEN, 26, 1e-12, marks=_CDF_ROOT),
+        pytest.param(Method.FISHER, 5, 1e-9, marks=_CDF_ROOT),
+        (Method.FISHER, 26, 1e-9), (Method.CHEN, 5, 1e-9), (Method.CHEN, 26, 1e-9),
+    ], ids=lambda v: getattr(v, "token", v))
+    def test_upper_tail_against_isf(self, method, n, alpha):
+        q = 1.0 - alpha
+        df = 2 * n if method is Method.FISHER else n
+        want = stats.chi2.isf(1.0 - q, df)  # 1 - q is exact, though not alpha
+        assert quantile(method, n, 0, q) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 5, 10, 26])
     def test_gm_cdf_lower_tail(self, n):

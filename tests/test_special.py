@@ -363,7 +363,7 @@ class TestRootFinder:
         # every exact quantile without a closed form is one inversion of its
         # row's CDF from [0, 1], bit for bit; Wilkinson's only with fakes
         s = MethodSpec(method)
-        _, law_cdf, _ = exact._LAWS[method]
+        law_cdf = exact._LAWS[method].cdf
         cells = [(n, n_f) for n, n_f in default_grid()
                  if exact.has_exact_quantile(s, n, n_f) and (method is not Method.WILKINSON or n_f)]
         assert cells

@@ -260,7 +260,9 @@ class TestCsv:
 
     @pytest.mark.parametrize("meta", ["seed=abc", "N=4999.0", "R=",
                                       # the --seed syntax, and each value's own rule
-                                      "seed=0b101", "seed=0o7", "seed=-5", "N=0", "R=0"])
+                                      "seed=0b101", "seed=0o7", "seed=-5", "N=0", "R=0",
+                                      # a key write_csv never writes, or one given twice
+                                      "sede=7", "n=99", "version=0.1.0"])
     def test_bad_metadata_names_line(self, meta, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"# version=0.1.0\n# {meta}\nmethod,n,n_f,q,estimate,stderr,provenance\n")

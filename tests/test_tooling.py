@@ -166,9 +166,10 @@ def raised_strings(tree):
 # (sampling.check_counts), the seed and its syntax (sampling.check_seed and
 # sampling.parse_seed), the worker count (estimation.check_workers), a
 # test's alpha (special.check_alpha), a CDF's finite argument
-# (special.check_finite), and the five rules a table row keeps beyond its
-# key's (tables.read_csv).  An empty p-value vector is a
-# rule of its own, so "non-empty" is matched on the level list's name
+# (special.check_finite), the five rules a table row keeps beyond its
+# key's and the two a metadata line keeps beyond its value's: a key
+# write_csv writes, at most once (tables.read_csv).  An empty p-value vector
+# is a rule of its own, so "non-empty" is matched on the level list's name
 RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie",
          "levels non-empty": r"q_list must be non-empty",
          "levels increasing": r"strictly increasing",
@@ -177,7 +178,8 @@ RULES = {"cell": r"n_f <= n", "level": r"quantile levels? must lie",
          "workers": r"workers must", "alpha": r"alpha must", "finite": r"^x must be finite",
          "provenance": r"unknown provenance", "estimate": r"estimate must be finite",
          "stderr": r"stderr must be finite", "exact stderr": r"carry no standard error",
-         "row order": r"decrease"}
+         "row order": r"decrease", "metadata key": r"unknown key",
+         "metadata once": r"given twice"}
 
 
 @pytest.mark.parametrize("pattern", RULES.values(), ids=RULES.keys())
